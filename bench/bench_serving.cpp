@@ -6,8 +6,9 @@
 //
 //   * every multi-thread batch is bit-identical to the 1-thread batch of
 //     the same mode (per-query slot writes, shared immutable snapshot), and
-//   * the sharded domain-decomposition answers match the serial
-//     single-model (monolithic-factor) answers to 1e-8 relative.
+//   * the exact route's answers match an independent reference — PCG on
+//     the reduced system, solved far below the bound — to 1e-8 relative
+//     on a fixed sample of the batch.
 //
 // --churn switches to the mixed update+query mode (DESIGN.md §4.1): an
 // AsyncUpdater streams modification batches through the IncrementalReducer
@@ -69,6 +70,7 @@
 #include <thread>
 #include <vector>
 
+#include "chol/ichol.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/stack.hpp"
@@ -79,6 +81,7 @@
 #include "serve/model_store.hpp"
 #include "serve/query_frontend.hpp"
 #include "serve/result_cache.hpp"
+#include "solver/pcg.hpp"
 #include "suite.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -139,6 +142,48 @@ std::vector<PortQuery> make_batch(const ReducedModel& model,
   return batch;
 }
 
+/// Evenly strided indices of the batch queries checked against the
+/// reference solver.
+std::vector<std::size_t> reference_sample(std::size_t batch_size) {
+  constexpr std::size_t kSample = 256;
+  const std::size_t stride = std::max<std::size_t>(1, batch_size / kSample);
+  std::vector<std::size_t> sample;
+  for (std::size_t i = 0; i < batch_size; i += stride) sample.push_back(i);
+  return sample;
+}
+
+/// Reference answers of the sampled queries from PCG on the reduced system
+/// (incomplete-Cholesky preconditioner under an RCM ordering — no shared
+/// code with the serving path's complete minimum-degree factor), solved to
+/// a relative residual of 1e-14, far below the 1e-8 bound it checks.
+std::vector<real_t> pcg_reference(const ModelSnapshot& snap,
+                                  const std::vector<PortQuery>& batch,
+                                  const std::vector<std::size_t>& sample) {
+  const CscMatrix g = snap.model().network.system_matrix();
+  const CholFactor precond_factor = ichol(g, Ordering::kRcm);
+  const Preconditioner precond = ichol_preconditioner(precond_factor);
+  PcgOptions opts;
+  opts.rel_tolerance = 1e-14;
+  opts.max_iterations = 20000;
+  std::vector<real_t> out;
+  std::vector<real_t> rhs(static_cast<std::size_t>(g.rows()), 0.0);
+  for (const std::size_t i : sample) {
+    const PortQuery& query = batch[i];
+    const auto p = static_cast<std::size_t>(snap.reduced_id(query.p));
+    const auto q = static_cast<std::size_t>(snap.reduced_id(query.q));
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    rhs[p] += 1.0;
+    if (query.kind == QueryKind::kResistance) rhs[q] -= 1.0;
+    const PcgResult x = pcg_solve(g, rhs, precond, opts);
+    if (!x.converged)
+      std::fprintf(stderr, "WARNING: reference PCG stopped at rel residual "
+                   "%.3g\n", x.relative_residual);
+    out.push_back(query.kind == QueryKind::kResistance ? x.x[p] - x.x[q]
+                                                       : x.x[q]);
+  }
+  return out;
+}
+
 /// Mixed update+query mode: per (case, threads), stream kChurnMods
 /// modifications through an AsyncUpdater-driven reducer while answering
 /// query batches, then validate the final published snapshot bitwise
@@ -151,7 +196,7 @@ int run_churn(const bench::BenchOptions& bopts) {
   for (int t = 2; t <= bopts.threads; t *= 2) thread_counts.push_back(t);
 
   TablePrinter table({"Case", "Threads", "Mods", "Batches", "PubLat(ms)",
-                      "MaxStale", "Blocked", "CopiedKB", "kQPS", "Reused",
+                      "MaxStale", "Blocked", "kQPS", "Reused",
                       "Identical"});
   bench::BenchJson json;
   obs::MetricsSnapshot metrics_dump;
@@ -177,8 +222,6 @@ int run_churn(const bench::BenchOptions& bopts) {
       ModelStore store(&reg);
       IncrementalReducer reducer(net, pg.port_mask(), ropts);
       ServingOptions sopts;
-      // Production churn configuration: no whole-system factor per publish.
-      sopts.build_monolithic_factor = false;
       reducer.attach_store(&store, sopts);
       const double full_build_seconds = store.acquire()->build_seconds();
       const QueryFrontEnd frontend(&store, &reg);
@@ -233,7 +276,7 @@ int run_churn(const bench::BenchOptions& bopts) {
                        mods[static_cast<std::size_t>(u)].dirty_blocks);
         BatchStats bstats;
         Timer bt;
-        (void)frontend.answer(batch, qpool.get(), RouteMode::kSharded,
+        (void)frontend.answer(batch, qpool.get(), RouteMode::kExact,
                               &bstats);
         query_seconds += bt.seconds();
         queries_answered += batch.size();
@@ -325,7 +368,7 @@ int run_churn(const bench::BenchOptions& bopts) {
                     mods[static_cast<std::size_t>(u)].dirty_blocks);
       bool identical = models_identical(reducer.model(), twin.model());
       const auto twin_snap =
-          ModelSnapshot::build(twin.blocks(), twin.model(), sopts);
+          ModelSnapshot::build(twin.blocks(), twin.shared_model(), sopts);
       const auto want = QueryFrontEnd::answer_on(*twin_snap, batch);
       const auto got = QueryFrontEnd::answer_on(*final_snap, batch);
       for (std::size_t i = 0; i < want.size(); ++i)
@@ -335,17 +378,6 @@ int run_churn(const bench::BenchOptions& bopts) {
                      "ERROR: %s threads=%d async churn diverged from the "
                      "synchronous sequential path\n",
                      name.c_str(), threads);
-        all_ok = false;
-      }
-      // The default serving configuration publishes zero-copy: the
-      // snapshot aliases the reducer's frozen model, so no publish may
-      // ever deep-copy model bytes.
-      if (reducer.publish_model_bytes_copied() != 0) {
-        std::fprintf(stderr,
-                     "ERROR: %s threads=%d publish copied %zu model bytes "
-                     "on the zero-copy path\n",
-                     name.c_str(), threads,
-                     reducer.publish_model_bytes_copied());
         all_ok = false;
       }
 
@@ -381,11 +413,6 @@ int run_churn(const bench::BenchOptions& bopts) {
                      TablePrinter::fmt_int(static_cast<int>(stale_max)),
                      TablePrinter::fmt_int(
                          static_cast<int>(ustats.blocked_submits)),
-                     TablePrinter::fmt(
-                         static_cast<double>(
-                             reducer.publish_model_bytes_copied()) /
-                             1024.0,
-                         1),
                      TablePrinter::fmt(qps / 1000.0, 1),
                      TablePrinter::fmt(reused_fraction, 2),
                      identical ? "yes" : "NO"});
@@ -419,13 +446,9 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("reused_block_fraction", reused_fraction)
           .set("incremental_publish_seconds", reducer.publish_seconds())
           .set("full_snapshot_build_seconds", full_build_seconds)
-          // Zero-copy publish accounting: model bytes the last publish
-          // deep-copied (0 on the shared-model path) vs. the bytes of
-          // serving state it materialized (scales with the dirty set) vs.
-          // the whole model's footprint (what the pre-zero-copy publishes
-          // used to copy every time).
-          .set("publish_model_bytes_copied",
-               static_cast<long long>(reducer.publish_model_bytes_copied()))
+          // Publish accounting: bytes of serving state the last publish
+          // materialized (the factor of the stitched system) vs. the
+          // model's footprint (aliased, never copied).
           .set("publish_bytes_materialized",
                static_cast<long long>(reducer.publish_bytes_materialized()))
           .set("model_footprint_bytes",
@@ -438,7 +461,7 @@ int run_churn(const bench::BenchOptions& bopts) {
           .set("max_observed_staleness_mods",
                ustats.max_observed_staleness_mods)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap, RouteMode::kExact);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -500,7 +523,6 @@ int run_zipf(const bench::BenchOptions& bopts) {
       ModelStore store(&reg);
       IncrementalReducer reducer(net, pg.port_mask(), ropts);
       ServingOptions sopts;
-      sopts.build_monolithic_factor = false;
       reducer.attach_store(&store, sopts);
       // Attach after the initial publish: attach_cache registers the
       // already-current snapshot, subsequent publishes carry/invalidate.
@@ -763,8 +785,6 @@ int run_loopback(const bench::BenchOptions& bopts) {
       net::StackOptions stack_opts;
       stack_opts.reduction.num_blocks = 32;
       stack_opts.reduction.sparsify_quality = 1.0;
-      // Sharded-only traffic: skip the dense global factor per publish.
-      stack_opts.serving.build_monolithic_factor = false;
       net::ServingStack stack(grid_net, is_port, stack_opts, &reg);
 
       net::ServerOptions server_opts;
@@ -784,7 +804,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
       const auto batch =
           make_batch(snap0->model(), kBatchPerRequest, 2027 + clients);
       const std::vector<real_t> direct = stack.frontend().answer(
-          batch, nullptr, RouteMode::kSharded, nullptr);
+          batch, nullptr, RouteMode::kExact, nullptr);
 
       const auto matches = [&](const std::vector<real_t>& answers,
                                const std::vector<real_t>& want) {
@@ -810,7 +830,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
             for (std::size_t r = 0; r < kRequestsPerClient; ++r) {
               for (;;) {
                 Timer t;
-                const auto res = client.query(batch, RouteMode::kSharded);
+                const auto res = client.query(batch, RouteMode::kExact);
                 if (res.retry_later) {
                   ++retry_responses;
                   continue;
@@ -865,7 +885,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
           try {
             net::LoopbackClient client("127.0.0.1", server.port());
             for (std::size_t r = 0; r < kRequestsPerClient / 4; ++r) {
-              const auto res = client.query(batch, RouteMode::kSharded);
+              const auto res = client.query(batch, RouteMode::kExact);
               if (res.retry_later) {
                 ++retry_responses;
               } else {
@@ -885,12 +905,12 @@ int run_loopback(const bench::BenchOptions& bopts) {
       // Post-churn validation: the wire answers on the final published
       // snapshot must be bit-identical to the direct call.
       const std::vector<real_t> final_direct = stack.frontend().answer(
-          batch, nullptr, RouteMode::kSharded, nullptr);
+          batch, nullptr, RouteMode::kExact, nullptr);
       bool identical = !failed.load();
       try {
         net::LoopbackClient verify_client("127.0.0.1", server.port());
         for (;;) {
-          const auto res = verify_client.query(batch, RouteMode::kSharded);
+          const auto res = verify_client.query(batch, RouteMode::kExact);
           if (res.retry_later) {
             ++retry_responses;
             continue;
@@ -989,7 +1009,7 @@ int run_loopback(const bench::BenchOptions& bopts) {
           .set("mods_applied",
                static_cast<std::size_t>(stack.mods_accepted()))
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap, RouteMode::kExact);
       metrics_dump.merge(reg_snap);
     }
   }
@@ -1038,7 +1058,7 @@ std::vector<PortQuery> make_policy_batch(const ReducedModel& model,
         break;
       case 5:
         pol.accuracy_tier = AccuracyTier::kApprox;
-        pol.backend_pref = BackendPref::kSharded;
+        pol.backend_pref = BackendPref::kExact;
         break;
       case 6:
         pol.accuracy_tier = AccuracyTier::kFast;
@@ -1102,11 +1122,11 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
     }
     for (auto& query : exact_leg) {
       query.policy.hedge = false;
-      query.policy.backend_pref = BackendPref::kSharded;
+      query.policy.backend_pref = BackendPref::kExact;
     }
     obs::MetricsRegistry twin_reg;
     AnswerContext twin_ctx;
-    twin_ctx.mode = RouteMode::kSharded;
+    twin_ctx.mode = RouteMode::kExact;
     twin_ctx.registry = &twin_reg;
     twin_ctx.queue_wait_us = kQueueWaitUs;
     const auto engine_answers =
@@ -1123,7 +1143,7 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
       std::vector<QueryStatus> statuses;
       AnswerContext ctx;
       ctx.pool = pool.get();
-      ctx.mode = RouteMode::kSharded;
+      ctx.mode = RouteMode::kExact;
       ctx.stats = &stats;
       ctx.registry = &reg;
       ctx.queue_wait_us = kQueueWaitUs;
@@ -1261,7 +1281,7 @@ int run_policy_mix(const bench::BenchOptions& bopts) {
           .set("deadline_misses", stats.deadline_miss)
           .set("queue_wait_us_injected", kQueueWaitUs)
           .set("identical", identical);
-      set_query_latency_fields(row, reg_snap, RouteMode::kSharded);
+      set_query_latency_fields(row, reg_snap, RouteMode::kExact);
       // Per-tier latency percentiles from the er_policy_latency_seconds
       // histograms (zeros when a tier saw no traffic).
       for (const char* tier : {"exact", "approx", "fast"}) {
@@ -1331,51 +1351,30 @@ int main(int argc, char** argv) {
     const SnapshotPtr snap = store.acquire();
     const auto batch = make_batch(*art.model, kBatchSize, 2027);
 
-    // Serial single-model reference: the whole batch through the monolithic
-    // factor on one thread. Doubles as the (monolithic, 1 thread) row so
-    // that configuration isn't computed twice. Each measured row gets its
-    // own registry, so its latency histogram covers exactly one batch.
-    obs::MetricsRegistry reference_reg;
-    BatchStats reference_stats;
-    Timer reference_timer;
-    const auto reference =
-        QueryFrontEnd(&store, &reference_reg)
-            .answer(batch, nullptr, RouteMode::kMonolithic,
-                    &reference_stats);
-    const double reference_seconds = reference_timer.seconds();
-    const obs::MetricsSnapshot reference_snap = reference_reg.snapshot();
-    metrics_dump.merge(reference_snap);
+    const std::vector<std::size_t> sample = reference_sample(batch.size());
+    const std::vector<real_t> reference = pcg_reference(*snap, batch, sample);
 
-    for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
-                           RouteMode::kLocalApprox}) {
+    for (RouteMode mode : {RouteMode::kExact, RouteMode::kLocalApprox}) {
       std::vector<real_t> serial_answers;
       double serial_seconds = 0.0;
       double max_rel_vs_reference = 0.0;
       for (int threads : thread_counts) {
         BatchStats stats;
-        std::vector<real_t> answers;
-        double seconds = 0.0;
-        obs::MetricsSnapshot row_snap;
-        if (mode == RouteMode::kMonolithic && threads == 1) {
-          answers = reference;
-          stats = reference_stats;
-          seconds = reference_seconds;
-          row_snap = reference_snap;
-        } else {
-          // Registry declared before the pool: the pool's destructor
-          // still updates its thread gauge.
-          obs::MetricsRegistry row_reg;
-          std::unique_ptr<ThreadPool> pool;
-          if (threads > 1)
-            pool = std::make_unique<ThreadPool>(threads, &row_reg);
-          Timer t;
-          answers = QueryFrontEnd(&store, &row_reg)
-                        .answer(batch, pool.get(), mode, &stats);
-          seconds = t.seconds();
-          pool.reset();
-          row_snap = row_reg.snapshot();
-          metrics_dump.merge(row_snap);
-        }
+        // Each measured row gets its own registry, so its latency
+        // histogram covers exactly one batch. Registry declared before the
+        // pool: the pool's destructor still updates its thread gauge.
+        obs::MetricsRegistry row_reg;
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 1)
+          pool = std::make_unique<ThreadPool>(threads, &row_reg);
+        Timer t;
+        const std::vector<real_t> answers =
+            QueryFrontEnd(&store, &row_reg)
+                .answer(batch, pool.get(), mode, &stats);
+        const double seconds = t.seconds();
+        pool.reset();
+        const obs::MetricsSnapshot row_snap = row_reg.snapshot();
+        metrics_dump.merge(row_snap);
         // Per-query latency coverage: every query of the batch must have
         // recorded exactly one sample on this route mode.
         const obs::MetricSnapshot* row_hist = row_snap.find(
@@ -1392,18 +1391,17 @@ int main(int argc, char** argv) {
         if (threads == 1) {
           serial_answers = answers;
           serial_seconds = seconds;
-          // How far the mode strays from the serial single-model answers
-          // (exact modes: solver-roundoff; local-approx: model error).
-          for (std::size_t i = 0; i < answers.size(); ++i) {
-            const double rel = std::abs(answers[i] - reference[i]) /
-                               (1.0 + std::abs(reference[i]));
+          // How far the mode strays from the PCG reference (exact route:
+          // solver roundoff; local-approx: model error).
+          for (std::size_t k = 0; k < sample.size(); ++k) {
+            const double rel = std::abs(answers[sample[k]] - reference[k]) /
+                               (1.0 + std::abs(reference[k]));
             max_rel_vs_reference = std::max(max_rel_vs_reference, rel);
           }
-          if (mode != RouteMode::kLocalApprox &&
-              max_rel_vs_reference > 1e-8) {
+          if (mode == RouteMode::kExact && max_rel_vs_reference > 1e-8) {
             std::fprintf(stderr,
-                         "ERROR: %s/%s diverged from the serial single-model "
-                         "reference (max rel %.3g)\n",
+                         "ERROR: %s/%s diverged from the PCG reference "
+                         "(max rel %.3g)\n",
                          name.c_str(), to_string(mode), max_rel_vs_reference);
             all_ok = false;
           }
@@ -1441,7 +1439,7 @@ int main(int argc, char** argv) {
             .set("identical", identical)
             .set("cross_block_queries", stats.cross_block)
             .set("engine_answered", stats.engine_answered)
-            .set("max_rel_vs_monolithic", max_rel_vs_reference);
+            .set("max_rel_vs_reference", max_rel_vs_reference);
         set_query_latency_fields(row, row_snap, mode);
       }
     }

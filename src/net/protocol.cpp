@@ -114,23 +114,19 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
 // Wire <-> enum maps (the wire bytes are part of the protocol, the enum
-// ordinals are not).
+// ordinals are not). Route bytes 0 and 1 named the two exact solvers of
+// earlier servers; both decode to the one exact path, so v1/v2 clients
+// keep working.
 bool route_from_wire(std::uint8_t v, RouteMode* out) {
   switch (v) {
-    case 0: *out = RouteMode::kSharded; return true;
-    case 1: *out = RouteMode::kMonolithic; return true;
+    case 0: case 1: *out = RouteMode::kExact; return true;
     case 2: *out = RouteMode::kLocalApprox; return true;
     default: return false;
   }
 }
 
 std::uint8_t route_to_wire(RouteMode m) {
-  switch (m) {
-    case RouteMode::kSharded: return 0;
-    case RouteMode::kMonolithic: return 1;
-    case RouteMode::kLocalApprox: return 2;
-  }
-  return 0;
+  return m == RouteMode::kLocalApprox ? 2 : 0;
 }
 
 bool kind_from_wire(std::uint8_t v, QueryKind* out) {
@@ -145,8 +141,8 @@ std::uint8_t kind_to_wire(QueryKind k) {
   return k == QueryKind::kResponse ? 0 : 1;
 }
 
-// QueryPolicy enums travel by their fixed wire ordinal (which happens to
-// match the enum ordinal today; the map keeps them decoupled).
+// QueryPolicy enums travel by their fixed wire ordinal (the maps keep them
+// decoupled from the enum ordinals).
 bool tier_from_wire(std::uint8_t v, AccuracyTier* out) {
   switch (v) {
     case 0: *out = AccuracyTier::kExact; return true;
@@ -160,18 +156,24 @@ std::uint8_t tier_to_wire(AccuracyTier t) {
   return static_cast<std::uint8_t>(t);
 }
 
+// Pref bytes 1 and 2 named the two exact solvers of earlier servers; both
+// decode to BackendPref::kExact.
 bool pref_from_wire(std::uint8_t v, BackendPref* out) {
   switch (v) {
     case 0: *out = BackendPref::kAuto; return true;
-    case 1: *out = BackendPref::kSharded; return true;
-    case 2: *out = BackendPref::kMonolithic; return true;
+    case 1: case 2: *out = BackendPref::kExact; return true;
     case 3: *out = BackendPref::kLocalApprox; return true;
     default: return false;
   }
 }
 
 std::uint8_t pref_to_wire(BackendPref p) {
-  return static_cast<std::uint8_t>(p);
+  switch (p) {
+    case BackendPref::kAuto: return 0;
+    case BackendPref::kExact: return 1;
+    case BackendPref::kLocalApprox: return 3;
+  }
+  return 0;
 }
 
 }  // namespace

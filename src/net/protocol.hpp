@@ -145,7 +145,7 @@ class FrameBuffer {
 
 /// kPortResponse / kErBatch payload: a routed query batch.
 struct QueryBatchRequest {
-  RouteMode route = RouteMode::kSharded;
+  RouteMode route = RouteMode::kExact;
   std::vector<PortQuery> queries;  ///< never empty on a decoded request
 };
 

@@ -41,8 +41,8 @@ namespace er::net {
 
 struct StackOptions {
   ReductionOptions reduction;
-  /// Snapshot build policy; callers that never route kMonolithic should
-  /// clear build_monolithic_factor to skip the dense global factor.
+  /// Snapshot build policy: block engines and their backend, dirty-only
+  /// publishes, and the result-cache knobs (serving.cache).
   ServingOptions serving;
   /// Attach a ResultCache to the store (serving.cache holds its knobs).
   bool attach_cache = true;

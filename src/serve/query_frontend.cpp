@@ -71,7 +71,7 @@ PolicyMetrics policy_metrics(obs::MetricsRegistry& reg) {
                   {{"winner", to_string(BackendPref::kLocalApprox)}},
                   "Hedged queries won, by backend"),
       reg.counter("er_policy_hedges_total",
-                  {{"winner", to_string(BackendPref::kSharded)}},
+                  {{"winner", to_string(BackendPref::kExact)}},
                   "Hedged queries won, by backend"),
       reg.counter("er_policy_deadline_miss_total", {},
                   "Queries whose deadline expired before evaluation"),
@@ -91,71 +91,46 @@ int tier_index(const QueryPolicy& pol) {
   return std::min(static_cast<int>(pol.accuracy_tier), 2);
 }
 
-/// Evaluate one query on the exact paths (sharded or monolithic), given
-/// its already-validated reduced endpoints. A pure per-query function of
-/// (snapshot, kind, p, q) — the property that makes the answer cacheable.
+/// Evaluate one query on the exact path, given its already-validated
+/// reduced endpoints. A pure per-query function of (snapshot, kind, p, q)
+/// — the property that makes the answer cacheable.
 real_t answer_exact(const ModelSnapshot& snap, QueryKind kind, index_t p,
-                    index_t q, bool monolithic,
-                    ModelSnapshot::Workspace& ws) {
-  if (kind == QueryKind::kResponse)
-    return monolithic ? snap.response_monolithic(p, q, ws)
-                      : snap.response(p, q, ws);
-  return monolithic ? snap.resistance_monolithic(p, q, ws)
-                    : snap.resistance(p, q, ws);
-}
-
-/// Whether a ResultCache configured with `opts` serves batches of `mode`.
-bool cache_serves_mode(const ResultCacheOptions& opts, RouteMode mode) {
-  switch (mode) {
-    case RouteMode::kSharded:
-      return opts.cache_sharded;
-    case RouteMode::kMonolithic:
-      return opts.cache_monolithic;
-    case RouteMode::kLocalApprox:
-      return opts.cache_local_approx;
-  }
-  return false;
+                    index_t q, ModelSnapshot::Workspace& ws) {
+  return kind == QueryKind::kResponse ? snap.response(p, q, ws)
+                                      : snap.resistance(p, q, ws);
 }
 
 /// One query's resolved evaluation plan (serial pre-pass output).
 struct QueryPlan {
-  bool engine = false;      ///< evaluate the block-engine leg
-  bool exact = false;       ///< evaluate the exact leg
-  bool monolithic = false;  ///< exact leg uses the whole-system factor
-  bool hedged = false;      ///< both legs run; selection picks the winner
+  bool engine = false;  ///< evaluate the block-engine leg
+  bool exact = false;   ///< evaluate the exact leg
+  bool hedged = false;  ///< both legs run; selection picks the winner
 };
 
 /// Resolve one query's policy against the batch route. A pure function of
-/// (policy, batch mode, engine eligibility, engine cost, factor
-/// availability) — no clocks, no shared state — which is what keeps
-/// policied batches bit-identical at any thread count (DESIGN.md §4.3).
+/// (policy, batch mode, engine eligibility, whether the snapshot's engines
+/// are cheap) — no clocks, no shared state — which is what keeps policied
+/// batches bit-identical at any thread count (DESIGN.md §4.3).
 QueryPlan resolve_policy(const QueryPolicy& pol, RouteMode batch_mode,
-                         bool engine_eligible, double engine_cost,
-                         bool has_monolithic) {
+                         bool engine_eligible, bool engines_cheap) {
   RouteMode route = batch_mode;
   switch (pol.backend_pref) {
     case BackendPref::kAuto:
       // kExact keeps the batch route — the pre-policy semantics, including
       // kLocalApprox batches. Reduced tiers may divert to a resident block
-      // engine when it advertises itself as cheap.
+      // engine unless it is a dense-factor exact engine (no shortcut).
       if (pol.accuracy_tier != AccuracyTier::kExact && engine_eligible &&
-          engine_cost <= kAutoEngineCostCeiling)
+          engines_cheap)
         route = RouteMode::kLocalApprox;
       break;
-    case BackendPref::kSharded:
-      route = RouteMode::kSharded;
-      break;
-    case BackendPref::kMonolithic:
-      // Per-query preference degrades to sharded when the whole-system
-      // factor was not built (a batch-level kMonolithic still throws).
-      route = has_monolithic ? RouteMode::kMonolithic : RouteMode::kSharded;
+    case BackendPref::kExact:
+      route = RouteMode::kExact;
       break;
     case BackendPref::kLocalApprox:
       route = RouteMode::kLocalApprox;
       break;
   }
   QueryPlan plan;
-  plan.monolithic = route == RouteMode::kMonolithic;
   plan.engine = route == RouteMode::kLocalApprox && engine_eligible;
   plan.hedged = pol.hedge && engine_eligible;
   if (plan.hedged) {
@@ -171,10 +146,8 @@ QueryPlan resolve_policy(const QueryPolicy& pol, RouteMode batch_mode,
 
 const char* to_string(RouteMode m) {
   switch (m) {
-    case RouteMode::kSharded:
-      return "sharded";
-    case RouteMode::kMonolithic:
-      return "monolithic";
+    case RouteMode::kExact:
+      return "sharded";  // label value kept: dashboards read mode="sharded"
     case RouteMode::kLocalApprox:
       return "local-approx";
   }
@@ -207,10 +180,8 @@ const char* to_string(BackendPref pref) {
   switch (pref) {
     case BackendPref::kAuto:
       return "auto";
-    case BackendPref::kSharded:
-      return "sharded";
-    case BackendPref::kMonolithic:
-      return "monolithic";
+    case BackendPref::kExact:
+      return "sharded";  // label value kept: dashboards read winner="sharded"
     case BackendPref::kLocalApprox:
       return "local-approx";
   }
@@ -277,16 +248,15 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
       engine_answered{0}, cache_hits{0}, cache_misses{0};
 
   // Resolve the snapshot version's cache scopes once per batch (the view
-  // is immutable). An unresolvable version — cache detached, mode knob
-  // off, or the version aged past the cache's version_cap — degrades to
+  // is immutable). An unresolvable version — cache detached, or the
+  // version aged past the cache's version_cap — degrades to
   // the plain compute path; answers are bitwise identical either way
   // because every cached value is a pure per-query function of the
   // snapshot state its scope pins (DESIGN.md §4.2). Entries are keyed by
   // the requesting query's accuracy tier on top of (path, kind, p, q), so
   // a reduced-tier answer can never serve an exact-tier probe (§4.3).
   ResultCache::ScopeViewPtr scopes;
-  if (cache && cache_serves_mode(cache->options(), mode))
-    scopes = cache->scopes_for(snap.version());
+  if (cache) scopes = cache->scopes_for(snap.version());
 
   // A batch where every query carries the default policy takes the exact
   // pre-policy paths (no per-query plans, no selection pass).
@@ -300,11 +270,10 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
 
   // Per-query control state, filled by the serial pre-pass. Empty vectors
   // mean "everything default": pending empty = every query takes the
-  // exact path with the batch-level monolithic flag, hedged_flags empty =
-  // no hedges. Every per-query write below lands in its own slot, so the
-  // fan-outs stay bit-deterministic at any thread count.
+  // exact path, hedged_flags empty = no hedges. Every per-query write below
+  // lands in its own slot, so the fan-outs stay bit-deterministic at any
+  // thread count.
   std::vector<char> pending;       // 1 = query needs the exact leg
-  std::vector<char> exact_mono;    // 1 = exact leg uses the monolithic factor
   std::vector<char> hedged_flags;  // 1 = both legs run, selection picks
   std::vector<real_t> hedge_engine, hedge_exact;  // per-leg answer slots
   std::size_t misses = 0;
@@ -317,12 +286,9 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
   // pre-policy fast path) and for any batch carrying explicit policies.
   if (mode == RouteMode::kLocalApprox || policied) {
     pending.assign(batch.size(), 0);
-    if (policied) {
-      exact_mono.assign(batch.size(),
-                        mode == RouteMode::kMonolithic ? 1 : 0);
-      hedged_flags.assign(batch.size(), 0);
-    }
-    const bool has_mono = snap.has_monolithic_factor();
+    if (policied) hedged_flags.assign(batch.size(), 0);
+    const bool engines_cheap =
+        snap.options().engine_backend != ErBackend::kExact;
     std::vector<std::vector<index_t>> bucket(
         static_cast<std::size_t>(snap.num_blocks()));
     for (index_t i = 0; i < n; ++i) {
@@ -350,13 +316,8 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
                             snap.block_engine(snap.block_of_reduced(p));
       QueryPlan plan;
       if (policied) {
-        const double cost =
-            eligible
-                ? snap.block_engine(snap.block_of_reduced(p))->cost_hint()
-                : 0.0;
-        plan = resolve_policy(pol, mode, eligible, cost, has_mono);
+        plan = resolve_policy(pol, mode, eligible, engines_cheap);
         pending[ui] = plan.exact ? 1 : 0;
-        exact_mono[ui] = plan.monolithic ? 1 : 0;
         hedged_flags[ui] = plan.hedged ? 1 : 0;
         if (plan.hedged && !any_hedge) {
           any_hedge = true;
@@ -434,13 +395,12 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
     });
   }
 
-  // Exact paths, chunked across the pool with one workspace per chunk.
+  // Exact path, chunked across the pool with one workspace per chunk.
   // Fallback queries of a kLocalApprox batch cache under Path::kExact —
-  // the same compute function a kSharded batch runs, so the two modes
+  // the same compute function a kExact batch runs, so the two modes
   // legitimately share entries within a version. Hedged queries land in
   // their hedge_exact slot and skip the per-query latency sample (their
   // engine leg already recorded the query's one sample).
-  const bool monolithic = mode == RouteMode::kMonolithic;
   parallel_for(pool, 0, n, kBatchQueryGrain, [&](index_t lo, index_t hi) {
     ModelSnapshot::Workspace ws;
     std::size_t inv = 0, same = 0, cross = 0, hits = 0, missed = 0;
@@ -468,21 +428,19 @@ std::vector<real_t> QueryFrontEnd::answer_on(const ModelSnapshot& snap,
         else
           ++cross;
       }
-      const bool q_mono =
-          exact_mono.empty() ? monolithic : exact_mono[ui] != 0;
-      const ResultCache::Path exact_path =
-          q_mono ? ResultCache::Path::kMonolithic : ResultCache::Path::kExact;
       real_t value = 0.0;
-      if (scopes && cache->lookup(scopes->exact_scope, exact_path,
-                                  query.kind, query.policy.accuracy_tier,
-                                  query.p, query.q, &value)) {
+      if (scopes && cache->lookup(scopes->exact_scope,
+                                  ResultCache::Path::kExact, query.kind,
+                                  query.policy.accuracy_tier, query.p,
+                                  query.q, &value)) {
         ++hits;
       } else {
-        value = answer_exact(snap, query.kind, p, q, q_mono, ws);
+        value = answer_exact(snap, query.kind, p, q, ws);
         if (scopes) {
           ++missed;
-          cache->insert(scopes->exact_scope, exact_path, query.kind,
-                        query.policy.accuracy_tier, query.p, query.q, value);
+          cache->insert(scopes->exact_scope, ResultCache::Path::kExact,
+                        query.kind, query.policy.accuracy_tier, query.p,
+                        query.q, value);
         }
       }
       (hedge_leg ? hedge_exact : out)[ui] = value;

@@ -46,15 +46,11 @@ struct PortQuery {
 
 /// Which evaluation path answers the batch.
 enum class RouteMode {
-  /// Exact two-level domain decomposition: per-block interior factors plus
-  /// the stitched boundary system. The default serving path.
-  kSharded,
-  /// One factor of the whole stitched system — the "single-model" reference
-  /// the sharded path is validated against.
-  kMonolithic,
+  /// Exact solve on the factor of the whole stitched system. The default.
+  kExact,
   /// Same-block kResistance queries go to the resident block-local ER
   /// engine (approximate: the block is served in isolation from the rest of
-  /// the grid). Everything else falls back to kSharded.
+  /// the grid). Everything else falls back to kExact.
   kLocalApprox,
 };
 
@@ -96,11 +92,11 @@ struct BatchStats {
 struct AnswerContext {
   ThreadPool* pool = nullptr;
   /// Batch-default route; each query's QueryPolicy may override it.
-  RouteMode mode = RouteMode::kSharded;
+  RouteMode mode = RouteMode::kExact;
   BatchStats* stats = nullptr;
   /// Metrics sink (null = the process-wide global registry).
   obs::MetricsRegistry* registry = nullptr;
-  /// Consulted per its ResultCacheOptions mode knobs; may be null.
+  /// Consulted and filled when its version resolves; may be null.
   ResultCache* cache = nullptr;
   /// Queue wait already consumed before evaluation starts, in
   /// microseconds: the value per-query deadlines are compared against.
@@ -124,12 +120,11 @@ class QueryFrontEnd {
 
   /// Answer a batch against the currently-published snapshot. Throws
   /// std::runtime_error if nothing has been published yet. When the store
-  /// carries an attached ResultCache whose per-mode knob is on, answers
-  /// are served from / inserted into it (bit-identical either way —
-  /// DESIGN.md §4.2).
+  /// carries an attached ResultCache, answers are served from / inserted
+  /// into it (bit-identical either way — DESIGN.md §4.2).
   [[nodiscard]] std::vector<real_t> answer(const std::vector<PortQuery>& batch,
                                            ThreadPool* pool = nullptr,
-                                           RouteMode mode = RouteMode::kSharded,
+                                           RouteMode mode = RouteMode::kExact,
                                            BatchStats* stats = nullptr) const;
 
   /// Full-context overload: like the convenience form above but with every
@@ -139,8 +134,7 @@ class QueryFrontEnd {
                                            const AnswerContext& ctx) const;
 
   /// Answer a batch against an explicitly pinned snapshot (tests, replay).
-  /// ctx.registry null means the global registry; ctx.cache (may be null)
-  /// is consulted per its ResultCacheOptions mode knobs.
+  /// ctx.registry null means the global registry; ctx.cache may be null.
   [[nodiscard]] static std::vector<real_t> answer_on(
       const ModelSnapshot& snapshot, const std::vector<PortQuery>& batch,
       const AnswerContext& ctx = {});

@@ -22,10 +22,11 @@ namespace er {
 
 /// How accurate a query's answer must be.
 enum class AccuracyTier : std::uint8_t {
-  /// Full two-level (or monolithic) exact solve. The default.
+  /// Exact solve on the factor of the stitched system. The default.
   kExact = 0,
   /// A block-local engine answer is acceptable when one is resident and
-  /// cheap (BackendPref::kAuto consults the engine's cost_hint()).
+  /// cheap (BackendPref::kAuto diverts unless the snapshot's engines are
+  /// dense-factor ErBackend::kExact engines).
   kApprox = 1,
   /// Latency over accuracy: like kApprox, and the preferred hedge winner.
   kFast = 2,
@@ -35,12 +36,11 @@ enum class AccuracyTier : std::uint8_t {
 enum class BackendPref : std::uint8_t {
   /// Resolve from the accuracy tier: kExact keeps the batch's RouteMode;
   /// kApprox/kFast take a resident block engine when the query is
-  /// engine-eligible and the engine's cost_hint() is under
-  /// kAutoEngineCostCeiling, else the batch RouteMode's exact flavour.
+  /// engine-eligible and the snapshot's engine_backend is not
+  /// ErBackend::kExact, else the exact path.
   kAuto = 0,
-  kSharded = 1,     ///< force the exact sharded two-level path
-  kMonolithic = 2,  ///< whole-system factor; sharded when not built
-  kLocalApprox = 3, ///< block-local engine; exact fallback when ineligible
+  kExact = 1,        ///< force the exact path
+  kLocalApprox = 2,  ///< block-local engine; exact fallback when ineligible
 };
 
 /// Per-query serving policy. The default value is the no-policy policy:
@@ -73,11 +73,6 @@ enum class QueryStatus : std::uint8_t {
   kInvalid = 1,       ///< unmapped / eliminated endpoint (answer NaN)
   kDeadlineMiss = 2,  ///< deadline expired before evaluation (answer NaN)
 };
-
-/// BackendPref::kAuto routes an engine-eligible kApprox/kFast query to the
-/// resident block engine only when the engine's cost_hint() is at or under
-/// this ceiling — a dense-factor "exact" block engine is not a shortcut.
-inline constexpr double kAutoEngineCostCeiling = 16.0;
 
 /// Deterministic hedge selection: which leg's answer a hedged query takes,
 /// as a pure function of (tier, the engine leg's value). kExact always

@@ -7,11 +7,11 @@
 /// snapshot's answer paths. A *scope* is an opaque epoch id resolved per
 /// snapshot version:
 ///
-///   * every version gets a fresh *exact scope* covering its sharded and
-///     monolithic answers (they touch the interface-Schur boundary factor
-///     S, global state rebuilt by every publish, so they are never valid
-///     across versions — but stay valid for as long as the version itself
-///     is pinned);
+///   * every version gets a fresh *exact scope* covering its exact answers
+///     (they come from the factor of the whole stitched system, global
+///     state refactored by every publish, so they are never valid across
+///     versions — but stay valid for as long as the version itself is
+///     pinned);
 ///   * every (version, block) gets a *block scope* covering the block's
 ///     resident-engine answers. On publish the hook compares the previous
 ///     and next snapshot's BlockArtifact pointers: an aliased (clean)
@@ -66,14 +66,12 @@ class Histogram;
 /// registered at construction so the families export even before traffic.
 class ResultCache {
  public:
-  /// Which answer path produced (and may re-serve) an entry. Distinct
-  /// paths cache under distinct keys even for the same pair: sharded and
-  /// monolithic answers differ in roundoff, and engine answers are
-  /// approximate.
+  /// Which answer path produced (and may re-serve) an entry. The two
+  /// paths cache under distinct keys even for the same pair: engine
+  /// answers are approximate.
   enum class Path : std::uint8_t {
-    kExact = 0,       ///< sharded domain-decomposition answers
-    kMonolithic = 1,  ///< whole-system-factor answers
-    kEngine = 2,      ///< block-local resident-engine answers
+    kExact = 0,   ///< answers from the factor of the stitched system
+    kEngine = 1,  ///< block-local resident-engine answers
   };
 
   /// Scope resolution of one registered version: immutable once published
@@ -90,8 +88,6 @@ class ResultCache {
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
-
-  [[nodiscard]] const ResultCacheOptions& options() const { return opts_; }
 
   /// Publish hook (ModelStore calls this after every snapshot swap, and
   /// once at attach_cache for the already-current snapshot with
@@ -141,7 +137,7 @@ class ResultCache {
  private:
   struct Key {
     std::uint64_t scope = 0;
-    std::uint32_t tag = 0;  ///< (tier << 3) | (path << 1) | kind
+    std::uint32_t tag = 0;  ///< (tier << 2) | (path << 1) | kind
     index_t p = 0;
     index_t q = 0;
     bool operator==(const Key& o) const {
@@ -166,7 +162,7 @@ class ResultCache {
 
   static std::uint32_t make_tag(Path path, QueryKind kind,
                                 AccuracyTier tier) {
-    return (static_cast<std::uint32_t>(tier) << 3) |
+    return (static_cast<std::uint32_t>(tier) << 2) |
            (static_cast<std::uint32_t>(path) << 1) |
            static_cast<std::uint32_t>(kind);
   }

@@ -58,8 +58,8 @@ TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
     ThreadPool pool(threads);
     ThreadPool* p = threads > 1 ? &pool : nullptr;
 
-    auto prev = ModelSnapshot::build(reducer.blocks(), reducer.model(), {},
-                                     p, reducer.revision());
+    auto prev = ModelSnapshot::build(reducer.blocks(), reducer.shared_model(),
+                                     {}, p, reducer.revision());
     EXPECT_EQ(prev->reused_blocks(), 0);
     EXPECT_EQ(prev->rebuilt_blocks(), prev->num_blocks());
 
@@ -73,18 +73,18 @@ TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
       reducer.update(current, mod.dirty_blocks);
 
       const auto full = ModelSnapshot::build(
-          reducer.blocks(), reducer.model(), {}, p, reducer.revision());
+          reducer.blocks(), reducer.shared_model(), {}, p, reducer.revision());
       const auto incr = ModelSnapshot::rebuild(
-          *prev, reducer.blocks(), reducer.model(), mod.dirty_blocks, p,
+          *prev, reducer.blocks(), reducer.shared_model(), mod.dirty_blocks, p,
           reducer.revision());
       ASSERT_GT(incr->reused_blocks(), 0);
       EXPECT_EQ(incr->reused_blocks() + incr->rebuilt_blocks(),
                 incr->num_blocks());
       EXPECT_EQ(full->num_boundary_nodes(), incr->num_boundary_nodes());
 
-      // Bitwise equality on both exact routes (the monolithic factor is
-      // rebuilt either way; the sharded one mixes reused + fresh factors).
-      for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic}) {
+      // Bitwise equality on both routes (the factor of G is rebuilt either
+      // way; the engine route mixes reused + fresh block engines).
+      for (RouteMode mode : {RouteMode::kExact, RouteMode::kLocalApprox}) {
         const auto want = QueryFrontEnd::answer_on(*full, batch, {p, mode});
         const auto got = QueryFrontEnd::answer_on(*incr, batch, {p, mode});
         ASSERT_EQ(want.size(), got.size());
@@ -193,7 +193,7 @@ TEST(AsyncUpdater, CoalescedBatchesConvergeToSequentialModel) {
   EXPECT_EQ(updater.mods_reflected(published->version()),
             static_cast<std::uint64_t>(kMods));
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+      *ModelSnapshot::build(twin.blocks(), twin.shared_model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;
@@ -278,7 +278,7 @@ TEST(ModelSnapshotRebuild, FailedUpdateDisarmsDirtyOnlyRebuild) {
   EXPECT_GT(reducer.model().stats.stitch_reused_blocks, 0);
   const auto batch = mixed_batch(kept_originals(reducer.model()), 150, 61);
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(reducer.blocks(), reducer.model()), batch);
+      *ModelSnapshot::build(reducer.blocks(), reducer.shared_model()), batch);
   const auto got = QueryFrontEnd::answer_on(*snap2, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;
@@ -311,60 +311,6 @@ TEST(AsyncUpdater, FlushOverridesConcurrentPause) {
   EXPECT_EQ(s.applied, 3u);
   EXPECT_EQ(s.pending, 0u);
   EXPECT_FALSE(s.update_in_flight);
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy publishes: the snapshot aliases the reducer's frozen model
-// (DESIGN.md §4.1) and the shared path is bitwise equal to the deep-copy
-// path at any thread count.
-// ---------------------------------------------------------------------------
-
-TEST(ModelSnapshotRebuild, ZeroCopyMatchesDeepCopyPublishBitwise) {
-  const ServeCase c = make_case(20, 20, 48, 269);
-  for (int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ReductionOptions opts;
-    opts.num_blocks = 8;
-    opts.parallel.num_threads = threads;
-    ModelStore store_shared, store_deep;
-    IncrementalReducer shared_r(c.net, c.ports, opts);
-    IncrementalReducer deep_r(c.net, c.ports, opts);
-    ServingOptions so_shared;  // share_model = true (the default)
-    ServingOptions so_deep;
-    so_deep.share_model = false;
-    shared_r.attach_store(&store_shared, so_shared);
-    deep_r.attach_store(&store_deep, so_deep);
-
-    // The shared publish copies zero model bytes and aliases the reducer's
-    // version; the deep-copy publish owns a private copy of the same size
-    // as the model footprint.
-    EXPECT_EQ(store_shared.acquire()->model_bytes_copied(), 0u);
-    EXPECT_EQ(store_shared.acquire()->shared_model().get(),
-              shared_r.shared_model().get());
-    EXPECT_EQ(store_deep.acquire()->model_bytes_copied(),
-              model_footprint_bytes(deep_r.model()));
-    EXPECT_NE(store_deep.acquire()->shared_model().get(),
-              deep_r.shared_model().get());
-
-    const auto batch = mixed_batch(kept_originals(shared_r.model()), 200, 71);
-    const ModStream stream =
-        make_mod_stream(c.net, shared_r.structure(), 3, 0.25, 1.3, 600);
-    for (std::size_t u = 0; u < stream.nets.size(); ++u) {
-      shared_r.update(stream.nets[u], stream.mods[u].dirty_blocks);
-      deep_r.update(stream.nets[u], stream.mods[u].dirty_blocks);
-
-      const SnapshotPtr ss = store_shared.acquire();
-      const SnapshotPtr sd = store_deep.acquire();
-      EXPECT_EQ(ss->model_bytes_copied(), 0u);
-      EXPECT_GT(sd->model_bytes_copied(), 0u);
-      EXPECT_LT(ss->bytes_materialized(), sd->bytes_materialized());
-      const auto want = QueryFrontEnd::answer_on(*sd, batch);
-      const auto got = QueryFrontEnd::answer_on(*ss, batch);
-      ASSERT_EQ(want.size(), got.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        ASSERT_EQ(want[i], got[i]) << "update " << u << " query " << i;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -565,7 +511,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
         const std::uint64_t submitted_before = updater.stats().submitted;
         BatchStats stats;
         const auto got =
-            frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+            frontend.answer(batch, nullptr, RouteMode::kExact, &stats);
         // Internal bit-consistency: every batch answered at version v must
         // equal the first batch answered at v.
         {
@@ -609,7 +555,7 @@ TEST(AsyncUpdater, ConcurrentStreamsKeepPinnedVersionsBitConsistent) {
   EXPECT_TRUE(models_identical(reducer.model(), twin.model()));
   const SnapshotPtr published = store.acquire();
   const auto want = QueryFrontEnd::answer_on(
-      *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+      *ModelSnapshot::build(twin.blocks(), twin.shared_model()), batch);
   const auto got = QueryFrontEnd::answer_on(*published, batch);
   for (std::size_t i = 0; i < want.size(); ++i)
     ASSERT_EQ(want[i], got[i]) << "query " << i;

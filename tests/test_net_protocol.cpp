@@ -38,9 +38,7 @@ double random_finite(Rng& rng) {
 
 QueryBatchRequest random_batch(Rng& rng, std::size_t count) {
   QueryBatchRequest req;
-  const RouteMode routes[] = {RouteMode::kSharded, RouteMode::kMonolithic,
-                              RouteMode::kLocalApprox};
-  req.route = routes[rng.uniform_index(3)];
+  req.route = rng.bernoulli(0.5) ? RouteMode::kExact : RouteMode::kLocalApprox;
   for (std::size_t i = 0; i < count; ++i) {
     PortQuery q;
     q.kind = rng.bernoulli(0.5) ? QueryKind::kResponse : QueryKind::kResistance;
@@ -51,7 +49,9 @@ QueryBatchRequest random_batch(Rng& rng, std::size_t count) {
     if (rng.bernoulli(0.5)) {
       q.policy.deadline_us = static_cast<std::uint32_t>(rng.next_u64());
       q.policy.accuracy_tier = static_cast<AccuracyTier>(rng.uniform_index(3));
-      q.policy.backend_pref = static_cast<BackendPref>(rng.uniform_index(4));
+      const BackendPref prefs[] = {BackendPref::kAuto, BackendPref::kExact,
+                                   BackendPref::kLocalApprox};
+      q.policy.backend_pref = prefs[rng.uniform_index(3)];
       q.policy.hedge = rng.bernoulli(0.5);
     }
     req.queries.push_back(q);
@@ -86,6 +86,20 @@ TEST(NetProtocolRoundTrip, QueryBatchRandomized) {
       EXPECT_EQ(back.queries[i].policy.backend_pref,
                 req.queries[i].policy.backend_pref);
       EXPECT_EQ(back.queries[i].policy.hedge, req.queries[i].policy.hedge);
+    }
+  }
+  // Route bytes 0 and 1 (the two exact routes of earlier servers) both
+  // decode to the exact path, in either dialect; 2 is local-approx.
+  for (const std::uint16_t version : {kMinProtocolVersion, kProtocolVersion}) {
+    std::vector<std::uint8_t> payload =
+        encode_query_batch(random_batch(rng, 3), version);
+    for (const std::uint8_t byte : {0, 1, 2}) {
+      payload[0] = byte;
+      QueryBatchRequest back;
+      ASSERT_TRUE(decode_query_batch(payload, &back, version));
+      EXPECT_EQ(back.route, byte == 2 ? RouteMode::kLocalApprox
+                                      : RouteMode::kExact)
+          << "route byte " << int{byte} << " v" << version;
     }
   }
 }
@@ -224,7 +238,7 @@ TEST(NetProtocolFraming, PolicyFrameSplitAcrossThreeFeeds) {
   Rng rng(22);
   QueryBatchRequest req = random_batch(rng, 6);
   req.queries[0].policy = {125'000u, AccuracyTier::kApprox,
-                           BackendPref::kMonolithic, false};
+                           BackendPref::kExact, false};
   req.queries[5].policy = {40u, AccuracyTier::kFast, BackendPref::kLocalApprox,
                            true};
   const std::vector<std::uint8_t> wire =
@@ -466,6 +480,15 @@ TEST(NetProtocolPayload, PolicyBytesOutOfRangeRejected) {
   EXPECT_EQ(out.queries[0].policy.accuracy_tier, AccuracyTier::kFast);
   EXPECT_EQ(out.queries[0].policy.backend_pref, BackendPref::kLocalApprox);
   EXPECT_TRUE(out.queries[0].policy.hedge);
+
+  // Pref bytes 1 and 2 (the two exact backends of earlier servers) both
+  // decode to kExact; kExact encodes as byte 1.
+  for (const std::uint8_t byte : {1, 2}) {
+    tweaked[kPrefAt] = byte;
+    ASSERT_TRUE(decode_query_batch(tweaked, &out)) << "pref byte " << int{byte};
+    EXPECT_EQ(out.queries[0].policy.backend_pref, BackendPref::kExact);
+    EXPECT_EQ(encode_query_batch(out)[kPrefAt], 1);
+  }
 }
 
 TEST(NetProtocolPayload, ModificationRejectsMalformed) {

@@ -12,10 +12,10 @@
 //       clock read,
 //   (d) old-version (v1) wire frames decode with every policy defaulted
 //       and answer exactly as before policies existed,
-//   (e) backend preferences resolve as documented: kMonolithic degrades to
-//       sharded without the whole-system factor, kAuto diverts reduced
-//       tiers to cheap resident engines, and the admission queue
-//       dispatches deadline-urgent items first.
+//   (e) backend preferences resolve as documented: kExact pins the exact
+//       path, kAuto diverts reduced tiers to cheap resident engines (never
+//       to dense-factor exact engines), and the admission queue dispatches
+//       deadline-urgent items first.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -75,16 +75,16 @@ TEST(QueryPolicy, HedgedMatchesSerialTwoBackendTwinAcrossThreadCounts) {
   }
   for (PortQuery& query : exact_leg) {
     query.policy.hedge = false;
-    query.policy.backend_pref = BackendPref::kSharded;
+    query.policy.backend_pref = BackendPref::kExact;
   }
   obs::MetricsRegistry twin_reg;
   const auto engine_answers =
       QueryFrontEnd::answer_on(*snap, engine_leg,
-                               {nullptr, RouteMode::kSharded, nullptr,
+                               {nullptr, RouteMode::kExact, nullptr,
                                 &twin_reg});
   const auto exact_answers =
       QueryFrontEnd::answer_on(*snap, exact_leg,
-                               {nullptr, RouteMode::kSharded, nullptr,
+                               {nullptr, RouteMode::kExact, nullptr,
                                 &twin_reg});
 
   for (int threads : {1, 2, 4, 8}) {
@@ -95,7 +95,7 @@ TEST(QueryPolicy, HedgedMatchesSerialTwoBackendTwinAcrossThreadCounts) {
     BatchStats stats;
     const auto answers = QueryFrontEnd::answer_on(
         *snap, batch,
-        {pool ? &*pool : nullptr, RouteMode::kSharded, &stats, &reg});
+        {pool ? &*pool : nullptr, RouteMode::kExact, &stats, &reg});
     ASSERT_EQ(answers.size(), batch.size());
     EXPECT_GT(stats.hedged, 0u);  // hedging actually engaged
     // Fast-tier hedges always select the engine leg when it ran (the
@@ -151,10 +151,10 @@ TEST(QueryPolicy, FastTierCacheEntriesNeverServeExactTierProbes) {
 
   // Warm the fast tier, then confirm it hits itself.
   BatchStats warm, fast_again;
-  (void)frontend.answer(fast, {nullptr, RouteMode::kSharded, &warm});
+  (void)frontend.answer(fast, {nullptr, RouteMode::kExact, &warm});
   EXPECT_EQ(warm.cache_hits, 0u);
   EXPECT_GT(warm.cache_misses, 0u);
-  (void)frontend.answer(fast, {nullptr, RouteMode::kSharded, &fast_again});
+  (void)frontend.answer(fast, {nullptr, RouteMode::kExact, &fast_again});
   EXPECT_EQ(fast_again.cache_misses, 0u);
   EXPECT_EQ(fast_again.cache_hits, warm.cache_misses);
 
@@ -162,14 +162,14 @@ TEST(QueryPolicy, FastTierCacheEntriesNeverServeExactTierProbes) {
   // a reduced-tier answer can never serve an exact-tier query.
   BatchStats exact_probe;
   const auto exact_answers =
-      frontend.answer(exact, {nullptr, RouteMode::kSharded, &exact_probe});
+      frontend.answer(exact, {nullptr, RouteMode::kExact, &exact_probe});
   EXPECT_EQ(exact_probe.cache_hits, 0u);
   EXPECT_GT(exact_probe.cache_misses, 0u);
 
   // And the tier-keyed entries coexist: both tiers now hit fully.
   BatchStats exact_again;
   const auto exact_cached =
-      frontend.answer(exact, {nullptr, RouteMode::kSharded, &exact_again});
+      frontend.answer(exact, {nullptr, RouteMode::kExact, &exact_again});
   EXPECT_EQ(exact_again.cache_misses, 0u);
   for (std::size_t i = 0; i < exact_answers.size(); ++i) {
     const bool both_nan =
@@ -201,7 +201,7 @@ TEST(QueryPolicy, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
 
   obs::MetricsRegistry reg;
   const auto reference = QueryFrontEnd::answer_on(
-      *snap, plain, {nullptr, RouteMode::kSharded, nullptr, &reg});
+      *snap, plain, {nullptr, RouteMode::kExact, nullptr, &reg});
 
   for (int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -211,7 +211,7 @@ TEST(QueryPolicy, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
     std::vector<QueryStatus> statuses;
     AnswerContext ctx;
     ctx.pool = pool ? &*pool : nullptr;
-    ctx.mode = RouteMode::kSharded;
+    ctx.mode = RouteMode::kExact;
     ctx.stats = &stats;
     ctx.registry = &reg;
     ctx.queue_wait_us = 50;  // injected, not measured: 10 <= 50 expires
@@ -239,7 +239,7 @@ TEST(QueryPolicy, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
   // With no queue wait, nothing expires (deadline 10us > wait 0).
   BatchStats relaxed;
   AnswerContext relaxed_ctx;
-  relaxed_ctx.mode = RouteMode::kSharded;
+  relaxed_ctx.mode = RouteMode::kExact;
   relaxed_ctx.stats = &relaxed;
   relaxed_ctx.registry = &reg;
   (void)QueryFrontEnd::answer_on(*snap, batch, relaxed_ctx);
@@ -252,7 +252,7 @@ TEST(QueryPolicy, ExpiredDeadlinesMissWithoutBlockingTheBatch) {
 
 TEST(QueryPolicy, OldVersionWireFramesAnswerWithDefaultPolicy) {
   net::QueryBatchRequest req;
-  req.route = RouteMode::kSharded;
+  req.route = RouteMode::kExact;
   req.queries = {{QueryKind::kResistance, 3, 9, {}},
                  {QueryKind::kResponse, 1, 4, {}}};
   // The sender sets non-default policies; a v1 encoding must drop them.
@@ -318,44 +318,6 @@ TEST(QueryPolicy, OldVersionWireFramesAnswerWithDefaultPolicy) {
 // (e) backend preference resolution + deadline-urgent admission.
 // ---------------------------------------------------------------------------
 
-TEST(QueryPolicy, MonolithicPreferenceDegradesWithoutTheFactor) {
-  const ServeCase c = make_case(16, 16, 24, 431);
-  ReductionOptions opts;
-  opts.num_blocks = 4;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  ServingOptions with, without;
-  without.build_monolithic_factor = false;
-  const auto full = ModelSnapshot::build(art, with);
-  const auto lean = ModelSnapshot::build(art, without);
-
-  const auto kept = kept_originals(*art.model);
-  std::vector<PortQuery> batch = mixed_batch(kept, 80, 29);
-  for (PortQuery& query : batch)
-    query.policy.backend_pref = BackendPref::kMonolithic;
-
-  // With the factor: per-query kMonolithic matches the batch-level route.
-  const auto mono_batch = QueryFrontEnd::answer_on(
-      *full, mixed_batch(kept, 80, 29), {nullptr, RouteMode::kMonolithic});
-  const auto per_query = QueryFrontEnd::answer_on(*full, batch);
-  for (std::size_t i = 0; i < per_query.size(); ++i) {
-    const bool both_nan =
-        std::isnan(per_query[i]) && std::isnan(mono_batch[i]);
-    ASSERT_TRUE(per_query[i] == mono_batch[i] || both_nan) << "query " << i;
-  }
-
-  // Without it: the per-query preference degrades to sharded (a
-  // batch-level kMonolithic still throws — pinned in test_serving.cpp).
-  const auto sharded = QueryFrontEnd::answer_on(
-      *lean, mixed_batch(kept, 80, 29), {nullptr, RouteMode::kSharded});
-  const auto degraded = QueryFrontEnd::answer_on(*lean, batch);
-  for (std::size_t i = 0; i < degraded.size(); ++i) {
-    const bool both_nan =
-        std::isnan(degraded[i]) && std::isnan(sharded[i]);
-    ASSERT_TRUE(degraded[i] == sharded[i] || both_nan) << "query " << i;
-  }
-}
-
 TEST(QueryPolicy, AutoDivertsReducedTiersToCheapEngines) {
   const ServeCase c = make_case(20, 20, 48, 433);
   ReductionOptions opts;
@@ -366,8 +328,8 @@ TEST(QueryPolicy, AutoDivertsReducedTiersToCheapEngines) {
   const auto kept = kept_originals(*art.model);
 
   // kAuto + kApprox routes engine-eligible queries exactly like an
-  // explicit kLocalApprox preference (the resident engines advertise
-  // cost hints below kAutoEngineCostCeiling).
+  // explicit kLocalApprox preference (the default engines are approx-chol,
+  // not dense-factor exact engines).
   std::vector<PortQuery> auto_batch = mixed_batch(kept, 200, 31);
   for (PortQuery& query : auto_batch)
     query.policy.accuracy_tier = AccuracyTier::kApprox;
@@ -377,7 +339,7 @@ TEST(QueryPolicy, AutoDivertsReducedTiersToCheapEngines) {
 
   BatchStats auto_stats;
   const auto auto_answers = QueryFrontEnd::answer_on(
-      *snap, auto_batch, {nullptr, RouteMode::kSharded, &auto_stats});
+      *snap, auto_batch, {nullptr, RouteMode::kExact, &auto_stats});
   const auto engine_answers =
       QueryFrontEnd::answer_on(*snap, engine_batch);
   EXPECT_GT(auto_stats.engine_answered, 0u);
@@ -388,20 +350,36 @@ TEST(QueryPolicy, AutoDivertsReducedTiersToCheapEngines) {
         << "query " << i;
   }
 
-  // kAuto + kExact keeps the batch route untouched — bitwise the
-  // pre-policy sharded answers.
-  std::vector<PortQuery> exact_batch = mixed_batch(kept, 200, 31);
-  for (PortQuery& query : exact_batch)
-    query.policy.deadline_us = 1'000'000;  // policied, but exact tier
-  const auto exact_answers = QueryFrontEnd::answer_on(*snap, exact_batch);
+  // Each of these keeps the exact route — bitwise the pre-policy answers:
+  // kAuto + kExact tier; an explicit kExact preference on a reduced tier;
+  // and kAuto + kApprox on a snapshot whose block engines are dense-factor
+  // exact engines (no shortcut to divert to).
   const auto plain_answers =
       QueryFrontEnd::answer_on(*snap, mixed_batch(kept, 200, 31));
-  for (std::size_t i = 0; i < exact_answers.size(); ++i) {
-    const bool both_nan =
-        std::isnan(exact_answers[i]) && std::isnan(plain_answers[i]);
-    ASSERT_TRUE(exact_answers[i] == plain_answers[i] || both_nan)
-        << "query " << i;
-  }
+  std::vector<PortQuery> exact_tier = mixed_batch(kept, 200, 31);
+  for (PortQuery& query : exact_tier)
+    query.policy.deadline_us = 1'000'000;  // policied, but exact tier
+  std::vector<PortQuery> exact_pref = auto_batch;
+  for (PortQuery& query : exact_pref)
+    query.policy.backend_pref = BackendPref::kExact;
+  ServingOptions dense_engines;
+  dense_engines.engine_backend = ErBackend::kExact;
+  const auto dense_snap = ModelSnapshot::build(art, dense_engines);
+  BatchStats dense_stats;
+  const std::vector<std::vector<real_t>> exact_routes{
+      QueryFrontEnd::answer_on(*snap, exact_tier),
+      QueryFrontEnd::answer_on(*snap, exact_pref),
+      QueryFrontEnd::answer_on(*dense_snap, auto_batch,
+                               {nullptr, RouteMode::kExact, &dense_stats}),
+  };
+  EXPECT_EQ(dense_stats.engine_answered, 0u);
+  for (std::size_t r = 0; r < exact_routes.size(); ++r)
+    for (std::size_t i = 0; i < plain_answers.size(); ++i) {
+      const bool both_nan =
+          std::isnan(exact_routes[r][i]) && std::isnan(plain_answers[i]);
+      ASSERT_TRUE(exact_routes[r][i] == plain_answers[i] || both_nan)
+          << "case " << r << " query " << i;
+    }
 }
 
 TEST(QueryPolicy, AdmissionQueueDispatchesUrgentItemsFirst) {

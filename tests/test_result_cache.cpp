@@ -78,9 +78,7 @@ TEST(ResultCache, CachedMatchesUncachedBitwiseAcrossInterleavings) {
       const auto batch = mixed_batch(
           kept, 120, static_cast<std::uint64_t>(700 + step % 3));
       const RouteMode mode =
-          step % 3 == 0   ? RouteMode::kSharded
-          : step % 3 == 1 ? RouteMode::kMonolithic
-                          : RouteMode::kLocalApprox;
+          step % 3 == 2 ? RouteMode::kLocalApprox : RouteMode::kExact;
       const SnapshotPtr snap = store.acquire();
       BatchStats cached_stats;
       const auto cached = QueryFrontEnd::answer_on(
@@ -126,14 +124,14 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
     IncrementalReducer twin(c.net, c.ports, opts);
     batch = mixed_batch(kept_originals(twin.model()), 64, 19);
     reference[0] = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+        *ModelSnapshot::build(twin.blocks(), twin.shared_model()), batch);
     stream = make_mod_stream(c.net, twin.structure(), kUpdates, 0.25, 1.4,
                              1200);
     for (int u = 1; u <= kUpdates; ++u) {
       twin.update(stream.nets[static_cast<std::size_t>(u - 1)],
                   stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       reference[static_cast<std::uint64_t>(u)] = QueryFrontEnd::answer_on(
-          *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+          *ModelSnapshot::build(twin.blocks(), twin.shared_model()), batch);
     }
   }
 
@@ -154,7 +152,7 @@ TEST(ResultCache, ConcurrentReadersStayBitConsistentWithCacheAttached) {
       for (int i = 0; i < kBatchesPerReader; ++i) {
         BatchStats stats;
         const auto got =
-            frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+            frontend.answer(batch, nullptr, RouteMode::kExact, &stats);
         const auto& want = reference.at(stats.snapshot_version);
         for (std::size_t j = 0; j < want.size(); ++j)
           if (got[j] != want[j]) {
@@ -240,10 +238,10 @@ TEST(ResultCache, PublishInvalidatesDirtyBlocksOnlyAndFullBuildDropsAll) {
     engine_backed[b] = stats.engine_answered == batches[b].size() ? 1 : 0;
   }
   ASSERT_GT(engine_entries, 0u);
-  // Plus a version-scoped exact batch (distinct cross/sharded entries).
+  // Plus a version-scoped exact batch (distinct exact-path entries).
   const auto exact_batch = mixed_batch(kept, 80, 29);
   BatchStats exact_stats;
-  (void)frontend.answer(exact_batch, nullptr, RouteMode::kSharded,
+  (void)frontend.answer(exact_batch, nullptr, RouteMode::kExact,
                         &exact_stats);
   const std::size_t entries_before = cache->entries();
   ASSERT_GT(entries_before, engine_entries);
@@ -280,7 +278,7 @@ TEST(ResultCache, PublishInvalidatesDirtyBlocksOnlyAndFullBuildDropsAll) {
   EXPECT_GT(clean_blocks_checked, 0u);
   // Exact-path entries are version-scoped: the same batch misses through.
   BatchStats exact_after;
-  (void)frontend.answer(exact_batch, nullptr, RouteMode::kSharded,
+  (void)frontend.answer(exact_batch, nullptr, RouteMode::kExact,
                         &exact_after);
   EXPECT_EQ(exact_after.cache_hits, 0u);
 
@@ -288,7 +286,7 @@ TEST(ResultCache, PublishInvalidatesDirtyBlocksOnlyAndFullBuildDropsAll) {
   // after its publish every prior entry is unreachable and swept.
   const std::size_t entries_mid = cache->entries();
   const std::uint64_t invalidated_mid = cache->invalidations();
-  store.publish(ModelSnapshot::build(reducer.blocks(), reducer.model(),
+  store.publish(ModelSnapshot::build(reducer.blocks(), reducer.shared_model(),
                                      snap1->options(), nullptr,
                                      snap1->version() + 1));
   EXPECT_EQ(cache->entries(), 0u);
@@ -326,7 +324,7 @@ TEST(ResultCache, TinyCapacityEvictsWithoutEverAnsweringWrong) {
     const auto batch = mixed_batch(
         kept, 200, static_cast<std::uint64_t>(1300 + round % 2));
     for (RouteMode mode :
-         {RouteMode::kSharded, RouteMode::kLocalApprox}) {
+         {RouteMode::kExact, RouteMode::kLocalApprox}) {
       const auto cached = QueryFrontEnd::answer_on(
           *snap, batch, {nullptr, mode, nullptr, &reg, cache.get()});
       const auto plain = QueryFrontEnd::answer_on(
@@ -366,13 +364,13 @@ TEST(ResultCache, PinnedVersionsResolveWithinCapAndDegradePastIt) {
   BatchStats warm;
   (void)QueryFrontEnd::answer_on(
       *pinned, batch,
-      {nullptr, RouteMode::kSharded, &warm, &reg, cache.get()});
+      {nullptr, RouteMode::kExact, &warm, &reg, cache.get()});
   EXPECT_GT(warm.cache_misses, 0u);
   reducer.update(stream.nets[0], stream.mods[0].dirty_blocks);
   BatchStats still_cached;
   const auto hit_answers = QueryFrontEnd::answer_on(
       *pinned, batch,
-      {nullptr, RouteMode::kSharded, &still_cached, &reg, cache.get()});
+      {nullptr, RouteMode::kExact, &still_cached, &reg, cache.get()});
   EXPECT_GT(still_cached.cache_hits, 0u);
   EXPECT_EQ(still_cached.cache_misses, 0u);
 
@@ -383,7 +381,7 @@ TEST(ResultCache, PinnedVersionsResolveWithinCapAndDegradePastIt) {
   BatchStats past_cap;
   const auto plain_answers = QueryFrontEnd::answer_on(
       *pinned, batch,
-      {nullptr, RouteMode::kSharded, &past_cap, &reg, cache.get()});
+      {nullptr, RouteMode::kExact, &past_cap, &reg, cache.get()});
   EXPECT_EQ(past_cap.cache_hits, 0u);
   EXPECT_EQ(past_cap.cache_misses, 0u);
   ASSERT_EQ(hit_answers.size(), plain_answers.size());

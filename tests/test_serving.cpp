@@ -1,6 +1,6 @@
-// Serving subsystem tests (DESIGN.md §4): the sharded domain-decomposition
-// path must agree with the monolithic single-model path, answers must be
-// bit-identical at any thread count, and ModelStore's publish protocol must
+// Serving subsystem tests (DESIGN.md §4): the exact path must agree with a
+// dense inverse of the reduced system, answers must be bit-identical at any
+// thread count, and ModelStore's publish protocol must
 // let queries race with IncrementalReducer updates — every batch answers
 // exactly against the snapshot version it pinned (no torn reads; the
 // concurrent test is part of the CI TSan job).
@@ -15,18 +15,25 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "pg/analysis.hpp"
 #include "pg/incremental.hpp"
 #include "reduction/pipeline.hpp"
 #include "serve/model_store.hpp"
 #include "serve/query_frontend.hpp"
 #include "serve/snapshot.hpp"
 #include "serve_test_util.hpp"
+#include "sparse/dense.hpp"
 
 namespace er {
 namespace {
 
-TEST(ModelSnapshot, ShardedMatchesMonolithic) {
+// Independent oracle for the exact path: the dense inverse of the reduced
+// system G (a Cholesky of the dense matrix, no sparse ordering or factor).
+DenseMatrix dense_inverse(const ReducedModel& model) {
+  const CscMatrix g = model.network.system_matrix();
+  return DenseMatrix(g.rows(), g.cols(), g.to_dense()).spd_inverse();
+}
+
+TEST(ModelSnapshot, MatchesDenseInverse) {
   const ServeCase c = make_case(24, 24, 64, 71);
   ReductionOptions opts;
   opts.num_blocks = 8;
@@ -34,44 +41,43 @@ TEST(ModelSnapshot, ShardedMatchesMonolithic) {
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
   ASSERT_GT(snap->num_boundary_nodes(), 0);
+  const DenseMatrix ginv = dense_inverse(*art.model);
 
   const auto batch = mixed_batch(kept_originals(*art.model), 400, 3);
-  BatchStats sharded_stats, mono_stats;
-  const auto sharded = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kSharded, &sharded_stats});
-  const auto mono = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kMonolithic, &mono_stats});
-  ASSERT_EQ(sharded.size(), mono.size());
-  EXPECT_EQ(sharded_stats.invalid, 0u);
-  EXPECT_GT(sharded_stats.cross_block, 0u);  // the batch exercises routing
-  EXPECT_GT(sharded_stats.same_block, 0u);
-  for (std::size_t i = 0; i < sharded.size(); ++i)
-    EXPECT_NEAR(sharded[i], mono[i], 1e-8 * (1.0 + std::abs(mono[i])))
+  BatchStats stats;
+  const auto got = QueryFrontEnd::answer_on(
+      *snap, batch, {nullptr, RouteMode::kExact, &stats});
+  ASSERT_EQ(got.size(), batch.size());
+  EXPECT_EQ(stats.invalid, 0u);
+  EXPECT_GT(stats.cross_block, 0u);  // the batch spans blocks
+  EXPECT_GT(stats.same_block, 0u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const index_t p = snap->reduced_id(batch[i].p);
+    const index_t q = snap->reduced_id(batch[i].q);
+    const real_t want = batch[i].kind == QueryKind::kResponse
+                            ? ginv(q, p)
+                            : ginv(p, p) + ginv(q, q) - 2.0 * ginv(p, q);
+    EXPECT_NEAR(got[i], want, 1e-8 * (1.0 + std::abs(want)))
         << "query " << i;
+  }
 }
 
-TEST(ModelSnapshot, ResponseMatchesDcSolve) {
+TEST(ModelSnapshot, ResponseMatchesDenseInverse) {
   const ServeCase c = make_case(18, 18, 40, 73);
   ReductionOptions opts;
   opts.num_blocks = 6;
   const ReductionArtifacts art =
       reduce_network_artifacts(c.net, c.ports, opts);
   const auto snap = ModelSnapshot::build(art);
+  const DenseMatrix ginv = dense_inverse(*art.model);
 
-  // Z(p, q) is column p of G^{-1}: inject a unit current at reduced p and
-  // read the DC voltage drops.
-  const index_t p_orig = kept_originals(*art.model).front();
-  const index_t p_red = snap->reduced_id(p_orig);
-  std::vector<real_t> injection(
-      static_cast<std::size_t>(art.model->network.num_nodes()), 0.0);
-  injection[static_cast<std::size_t>(p_red)] = 1.0;
-  const DcSolution dc = solve_dc(art.model->network, injection);
-
+  // Z(p, q) is column p of G^{-1}: the voltage drops of a unit current
+  // injected at reduced p.
+  const index_t p_red = snap->reduced_id(kept_originals(*art.model).front());
   ModelSnapshot::Workspace ws;
   for (index_t q = 0; q < art.model->network.num_nodes(); q += 7) {
     const real_t z = snap->response(p_red, q, ws);
-    EXPECT_NEAR(z, dc.drops[static_cast<std::size_t>(q)],
-                1e-8 * (1.0 + std::abs(z)))
+    EXPECT_NEAR(z, ginv(q, p_red), 1e-8 * (1.0 + std::abs(z)))
         << "response at reduced node " << q;
   }
 
@@ -94,8 +100,7 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
   const auto snap = ModelSnapshot::build(art);
   const auto batch = mixed_batch(kept_originals(*art.model), 1500, 5);
 
-  for (RouteMode mode : {RouteMode::kSharded, RouteMode::kMonolithic,
-                         RouteMode::kLocalApprox}) {
+  for (RouteMode mode : {RouteMode::kExact, RouteMode::kLocalApprox}) {
     const auto serial =
         QueryFrontEnd::answer_on(*snap, batch, {nullptr, mode});
     for (int threads : {2, 4, 8}) {
@@ -109,32 +114,6 @@ TEST(QueryFrontEnd, BitIdenticalAcrossThreadCounts) {
         ASSERT_EQ(serial[i], par[i]) << "query " << i;  // bit-identical
     }
   }
-}
-
-TEST(ModelSnapshot, MonolithicFactorIsOptional) {
-  // Production sharded serving skips the whole-system factor; the sharded
-  // path still answers and the monolithic path refuses loudly.
-  const ServeCase c = make_case(16, 16, 24, 101);
-  ReductionOptions opts;
-  opts.num_blocks = 4;
-  const ReductionArtifacts art =
-      reduce_network_artifacts(c.net, c.ports, opts);
-  ServingOptions with, without;
-  without.build_monolithic_factor = false;
-  const auto full = ModelSnapshot::build(art, with);
-  const auto lean = ModelSnapshot::build(art, without);
-  EXPECT_TRUE(full->has_monolithic_factor());
-  EXPECT_FALSE(lean->has_monolithic_factor());
-
-  const auto batch = mixed_batch(kept_originals(*art.model), 100, 19);
-  const auto want = QueryFrontEnd::answer_on(*full, batch);
-  const auto got = QueryFrontEnd::answer_on(*lean, batch);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_EQ(want[i], got[i]) << "query " << i;  // sharded path unaffected
-  EXPECT_THROW((void)QueryFrontEnd::answer_on(
-                   *lean, batch, {nullptr, RouteMode::kMonolithic}),
-               std::logic_error);
 }
 
 TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
@@ -162,7 +141,7 @@ TEST(QueryFrontEnd, InvalidQueriesAnswerNaN) {
   };
   BatchStats stats;
   const auto out = QueryFrontEnd::answer_on(
-      *snap, batch, {nullptr, RouteMode::kSharded, &stats});
+      *snap, batch, {nullptr, RouteMode::kExact, &stats});
   EXPECT_TRUE(std::isnan(out[0]));
   EXPECT_TRUE(std::isnan(out[1]));
   EXPECT_TRUE(std::isnan(out[2]));
@@ -228,7 +207,7 @@ TEST(ModelStore, PublishPinsInFlightSnapshots) {
 
   // New batches see the new version.
   BatchStats stats;
-  (void)frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+  (void)frontend.answer(batch, nullptr, RouteMode::kExact, &stats);
   EXPECT_EQ(stats.snapshot_version, 1u);
 }
 
@@ -288,7 +267,6 @@ TEST(ModelStore, ZeroCopyPublishAliasesTheReducersModel) {
   const SnapshotPtr s0 = store.acquire();
   EXPECT_EQ(&s0->model(), &reducer.model());
   EXPECT_EQ(s0->shared_model().get(), reducer.shared_model().get());
-  EXPECT_EQ(s0->model_bytes_copied(), 0u);
   EXPECT_GT(model_footprint_bytes(s0->model()), 0u);
 
   const auto batch = mixed_batch(kept_originals(reducer.model()), 150, 113);
@@ -305,7 +283,6 @@ TEST(ModelStore, ZeroCopyPublishAliasesTheReducersModel) {
   // for the pinned snapshot, bit-for-bit.
   const SnapshotPtr s1 = store.acquire();
   EXPECT_EQ(&s1->model(), &reducer.model());
-  EXPECT_EQ(s1->model_bytes_copied(), 0u);
   EXPECT_NE(s1->shared_model().get(), s0->shared_model().get());
   EXPECT_EQ(s0->shared_model().get(), pinned_model.get());
   const auto after = QueryFrontEnd::answer_on(*s0, batch);
@@ -339,14 +316,14 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
     IncrementalReducer twin(c.net, c.ports, opts);
     batch = mixed_batch(kept_originals(twin.model()), 64, 17);
     reference[0] = QueryFrontEnd::answer_on(
-        *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+        *ModelSnapshot::build(twin.blocks(), twin.shared_model()), batch);
     stream = make_mod_stream(c.net, twin.structure(), kUpdates, 0.25, 1.4,
                              100);
     for (int u = 1; u <= kUpdates; ++u) {
       twin.update(stream.nets[static_cast<std::size_t>(u - 1)],
                   stream.mods[static_cast<std::size_t>(u - 1)].dirty_blocks);
       reference[static_cast<std::uint64_t>(u)] = QueryFrontEnd::answer_on(
-          *ModelSnapshot::build(twin.blocks(), twin.model()), batch);
+          *ModelSnapshot::build(twin.blocks(), twin.shared_model()), batch);
     }
   }
 
@@ -364,7 +341,7 @@ TEST(Serving, ConcurrentPublishWhileQuerying) {
       for (int i = 0; i < kBatchesPerReader; ++i) {
         BatchStats stats;
         const auto got =
-            frontend.answer(batch, nullptr, RouteMode::kSharded, &stats);
+            frontend.answer(batch, nullptr, RouteMode::kExact, &stats);
         versions_seen |= std::uint64_t{1} << stats.snapshot_version;
         const auto& want = reference.at(stats.snapshot_version);
         for (std::size_t j = 0; j < want.size(); ++j)
@@ -404,11 +381,11 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
   const auto kept = kept_originals(*art.model);
   BatchStats s1, s2, s3;
   (void)frontend.answer(mixed_batch(kept, 150, 5), nullptr,
-                        RouteMode::kSharded, &s1);
+                        RouteMode::kExact, &s1);
   (void)frontend.answer(mixed_batch(kept, 250, 6), nullptr,
-                        RouteMode::kSharded, &s2);
+                        RouteMode::kExact, &s2);
   (void)frontend.answer(mixed_batch(kept, 100, 7), nullptr,
-                        RouteMode::kMonolithic, &s3);
+                        RouteMode::kLocalApprox, &s3);
 
   const obs::MetricsSnapshot snap = reg.snapshot();
   const auto counter = [&snap](const char* name, const char* mode) {
@@ -416,7 +393,8 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
         snap.find(name, {{"mode", mode}});
     return m ? m->counter : std::uint64_t{0};
   };
-  // Sharded series aggregate exactly the two sharded batches...
+  // Exact-route series (label value "sharded") aggregate exactly the two
+  // exact batches...
   EXPECT_EQ(counter("er_serve_batches_total", "sharded"), 2u);
   EXPECT_EQ(counter("er_serve_queries_total", "sharded"),
             s1.queries + s2.queries);
@@ -426,9 +404,9 @@ TEST(QueryFrontEnd, RegistryAggregatesMatchBatchStats) {
             s1.same_block + s2.same_block);
   EXPECT_EQ(counter("er_serve_cross_block_queries_total", "sharded"),
             s1.cross_block + s2.cross_block);
-  // ...and the monolithic batch lands only in its own labeled series.
-  EXPECT_EQ(counter("er_serve_batches_total", "monolithic"), 1u);
-  EXPECT_EQ(counter("er_serve_queries_total", "monolithic"), s3.queries);
+  // ...and the local-approx batch lands only in its own labeled series.
+  EXPECT_EQ(counter("er_serve_batches_total", "local-approx"), 1u);
+  EXPECT_EQ(counter("er_serve_queries_total", "local-approx"), s3.queries);
 
   // Every query records exactly one latency sample; every batch exactly
   // one batch-duration sample whose total tracks BatchStats::seconds.

@@ -31,9 +31,8 @@ MODE_FIELDS = {
         "queries_per_second", "churn_wall_seconds",
         "reused_block_fraction", "incremental_publish_seconds",
         "full_snapshot_build_seconds",
-        # Zero-copy publish accounting (PR 5).
-        "publish_model_bytes_copied", "publish_bytes_materialized",
-        "model_footprint_bytes",
+        # Publish accounting: serving bytes built vs the aliased model.
+        "publish_bytes_materialized", "model_footprint_bytes",
         # Bounded-staleness back-pressure (PR 5).
         "staleness_bound_mods", "blocked_submits", "rejected_submits",
         "max_observed_staleness_mods",
@@ -42,7 +41,7 @@ MODE_FIELDS = {
     "standard": COMMON_FIELDS | {
         "snapshot_build_seconds", "wall_seconds", "queries_per_second",
         "speedup", "identical", "cross_block_queries", "engine_answered",
-        "max_rel_vs_monolithic",
+        "max_rel_vs_reference",
     },
     # Result-cache scenario (--churn --zipf S, PR 8).
     "zipf": COMMON_FIELDS | {
@@ -136,9 +135,11 @@ def main() -> int:
                       f"expected queries - deadline_misses = {expected}",
                       file=sys.stderr)
                 ok = False
-        if mode == "churn" and row.get("publish_model_bytes_copied") != 0:
-            print(f"{path}[{i}]: zero-copy publish copied model bytes "
-                  f"({row.get('publish_model_bytes_copied')})",
+        # The exact route (label "sharded") must match the PCG reference.
+        if mode == "standard" and row.get("mode") != "local-approx" \
+                and not row.get("max_rel_vs_reference", 1.0) <= 1e-8:
+            print(f"{path}[{i}]: exact route {row.get('max_rel_vs_reference')}"
+                  " from the reference, above the 1e-8 bound",
                   file=sys.stderr)
             ok = False
     if ok:
