@@ -220,7 +220,7 @@ void IncrementalReducer::publish_current(const std::vector<index_t>* dirty) {
   // §4.1). Either way the snapshot aliases the frozen model version.
   SnapshotPtr snap;
   try {
-    if (dirty && last_published_ && serving_opts_.incremental_publish)
+    if (dirty && last_published_)
       snap = ModelSnapshot::rebuild(*last_published_, blocks_, model_, *dirty,
                                     pool_.get(), revision_);
     else

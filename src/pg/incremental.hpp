@@ -88,7 +88,7 @@ class IncrementalReducer {
   /// rebuild* (ModelSnapshot::rebuild): clean blocks share the previous
   /// snapshot's resident engines, only the dirty engines are rebuilt, and
   /// the stitched system is refactored — bit-identical to a full rebuild
-  /// (DESIGN.md §4.1; disable via ServingOptions::incremental_publish).
+  /// (DESIGN.md §4.1).
   ///
   /// Thread-safety: external synchronization per reducer, like every other
   /// method — AsyncUpdater is the supported way to run update() off the
@@ -132,8 +132,8 @@ class IncrementalReducer {
  private:
   /// Build + publish the snapshot of the current model. `dirty` (the
   /// deduplicated dirty set of the update that triggered the publish)
-  /// selects the dirty-only rebuild path; null forces a full build (initial
-  /// attach, or incremental_publish disabled).
+  /// selects the dirty-only rebuild path; null forces a full build (the
+  /// initial attach).
   void publish_current(const std::vector<index_t>* dirty);
 
   std::vector<char> is_port_;

@@ -44,16 +44,6 @@ struct PortQuery {
   QueryPolicy policy;
 };
 
-/// Which evaluation path answers the batch.
-enum class RouteMode {
-  /// Exact solve on the factor of the whole stitched system. The default.
-  kExact,
-  /// Same-block kResistance queries go to the resident block-local ER
-  /// engine (approximate: the block is served in isolation from the rest of
-  /// the grid). Everything else falls back to kExact.
-  kLocalApprox,
-};
-
 const char* to_string(RouteMode m);
 
 /// Per-batch diagnostics, filled by answer()/answer_on() for the one
@@ -68,18 +58,18 @@ struct BatchStats {
   std::size_t invalid = 0;          ///< unmapped / out-of-range endpoints
   std::size_t same_block = 0;       ///< both endpoints owned by one block
   std::size_t cross_block = 0;      ///< endpoints in different blocks
-  std::size_t engine_answered = 0;  ///< *computed* by a block-local engine
+  std::size_t engine_answered = 0;  ///< computed by a block engine and taken
   /// Result-cache figures (serve/result_cache.hpp), zero when no cache was
   /// consulted. hits + misses counts every cache probe of the batch;
   /// invalid queries are never probed or cached.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   /// Policy figures (serve/query_policy.hpp), zero for all-default
-  /// batches. A hedged query evaluates both legs; hedge_won_engine counts
-  /// the ones whose block-engine leg's answer was selected.
+  /// batches. A hedged query runs one leg, chosen by plan_query;
+  /// hedge_won_engine counts the ones the block engine answered.
   std::size_t deadline_miss = 0;    ///< expired before evaluation (NaN)
-  std::size_t hedged = 0;           ///< queries racing two backends
-  std::size_t hedge_won_engine = 0; ///< hedges won by the block engine
+  std::size_t hedged = 0;           ///< engine-eligible, hedge bit set
+  std::size_t hedge_won_engine = 0; ///< hedges answered by the block engine
   std::uint64_t snapshot_version = 0;
   double seconds = 0.0;
 };

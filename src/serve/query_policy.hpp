@@ -5,13 +5,14 @@
 /// criticalities: each query names how accurate its answer must be
 /// (AccuracyTier), which backend it prefers (BackendPref), how long it was
 /// willing to wait (deadline_us), and whether the front-end should hedge
-/// it across two backends. The default-constructed policy reproduces the
-/// pre-policy behaviour of the batch's RouteMode exactly.
+/// it toward the block engine. The default-constructed policy reproduces
+/// the pre-policy behaviour of the batch's RouteMode exactly.
 ///
 /// Determinism: nothing in this header reads a clock. Deadline expiry is a
 /// pure function of (policy.deadline_us, AnswerContext::queue_wait_us) and
-/// hedge selection a pure function of (tier, the two legs' values), so
-/// answers stay bit-identical at any thread count (§4.3's argument).
+/// each query's leg a pure function of (policy, batch route, eligibility,
+/// engine backend) — plan_query — so answers stay bit-identical at any
+/// thread count (§4.3's argument).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,16 @@
 #include "util/types.hpp"
 
 namespace er {
+
+/// Which evaluation path answers a batch by default.
+enum class RouteMode {
+  /// Exact solve on the factor of the whole stitched system. The default.
+  kExact,
+  /// Same-block kResistance queries go to the resident block-local ER
+  /// engine (approximate: the block is served in isolation from the rest of
+  /// the grid). Everything else falls back to kExact.
+  kLocalApprox,
+};
 
 /// How accurate a query's answer must be.
 enum class AccuracyTier : std::uint8_t {
@@ -54,14 +65,15 @@ struct QueryPolicy {
   std::uint32_t deadline_us = 0;
   AccuracyTier accuracy_tier = AccuracyTier::kExact;
   BackendPref backend_pref = BackendPref::kAuto;
-  /// Race the block-local engine against the exact path (both legs are
-  /// evaluated; a pure selection rule picks the winner). Only engages for
-  /// engine-eligible queries.
+  /// Hedge toward the block-local engine: an engine-eligible hedged query
+  /// takes the engine leg iff its tier is not kExact, whatever its backend
+  /// preference — the winner a race of both legs would pick, decided
+  /// before either runs (plan_query). Only engages for engine-eligible
+  /// queries.
   bool hedge = false;
 };
 
-/// True when `p` asks for anything beyond the default no-policy behaviour
-/// (the front-end keeps the legacy fast path for all-default batches).
+/// True when `p` asks for anything beyond the default no-policy behaviour.
 [[nodiscard]] constexpr bool is_default(const QueryPolicy& p) {
   return p.deadline_us == 0 && p.accuracy_tier == AccuracyTier::kExact &&
          p.backend_pref == BackendPref::kAuto && !p.hedge;
@@ -74,15 +86,58 @@ enum class QueryStatus : std::uint8_t {
   kDeadlineMiss = 2,  ///< deadline expired before evaluation (answer NaN)
 };
 
-/// Deterministic hedge selection: which leg's answer a hedged query takes,
-/// as a pure function of (tier, the engine leg's value). kExact always
-/// takes the exact leg; kApprox/kFast take the engine leg whenever it
-/// produced a value (non-NaN), falling back to the exact leg. Exposed so
-/// tests can run a serial twin through the identical rule.
+/// Deterministic hedge selection: which leg's answer a hedged query takes
+/// if both legs were evaluated, as a pure function of (tier, the engine
+/// leg's value). kExact always takes the exact leg; kApprox/kFast take the
+/// engine leg whenever it produced a value (non-NaN), falling back to the
+/// exact leg. The front-end never evaluates both legs — plan_query picks
+/// the same winner up front — but tests run a serial two-backend twin
+/// through this rule as an independent oracle.
 [[nodiscard]] constexpr bool hedge_prefers_engine(AccuracyTier tier,
                                                   real_t engine_value) {
   // NaN != NaN: a NaN engine leg never wins.
   return tier != AccuracyTier::kExact && engine_value == engine_value;
+}
+
+/// The one path that answers a query.
+enum class QueryLeg : std::uint8_t {
+  kExact,   ///< exact solve on the factor of the stitched system
+  kEngine,  ///< the owning block's resident engine
+};
+
+/// The one leg that answers a query: a pure function of (policy, batch
+/// route, engine eligibility — a resistance pair inside one block with a
+/// resident engine — and whether the snapshot's engines are cheap, i.e.
+/// not dense-factor ErBackend::kExact engines). A hedged eligible query
+/// takes the engine leg iff its tier is not kExact: the leg
+/// hedge_prefers_engine picks given a non-NaN engine value. The front-end
+/// re-answers an engine NaN on the exact leg, the rule's one dynamic input.
+[[nodiscard]] constexpr QueryLeg plan_query(const QueryPolicy& pol,
+                                            RouteMode batch_mode,
+                                            bool engine_eligible,
+                                            bool engines_cheap) {
+  if (!engine_eligible) return QueryLeg::kExact;
+  const bool reduced_tier = pol.accuracy_tier != AccuracyTier::kExact;
+  bool engine = false;
+  if (pol.hedge) {
+    engine = reduced_tier;
+  } else {
+    switch (pol.backend_pref) {
+      case BackendPref::kAuto:
+        // kExact keeps the batch route (the pre-policy semantics); reduced
+        // tiers divert to a cheap resident engine.
+        engine = batch_mode == RouteMode::kLocalApprox ||
+                 (reduced_tier && engines_cheap);
+        break;
+      case BackendPref::kExact:
+        engine = false;
+        break;
+      case BackendPref::kLocalApprox:
+        engine = true;
+        break;
+    }
+  }
+  return engine ? QueryLeg::kEngine : QueryLeg::kExact;
 }
 
 const char* to_string(AccuracyTier tier);

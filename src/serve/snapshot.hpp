@@ -59,13 +59,6 @@ struct ServingOptions {
   /// Ignored: every snapshot factors the whole stitched system, the only
   /// exact path. Kept so existing configuration code still compiles.
   bool build_monolithic_factor = true;
-  /// With a ModelStore attached, IncrementalReducer publishes updates as
-  /// dirty-only snapshot rebuilds (ModelSnapshot::rebuild: clean blocks
-  /// share the previous snapshot's engines). Disable to force a full
-  /// rebuild per publish — the answers are bit-identical either way
-  /// (DESIGN.md §4.1 determinism argument); this knob exists for A/B
-  /// timing and as an escape hatch.
-  bool incremental_publish = true;
   /// Backend of the per-block engines (kApproxChol or kExact; a
   /// kRandomProjection request falls back to kApproxChol, whose build cost
   /// profile fits resident serving state better than k PCG solves).

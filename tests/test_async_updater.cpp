@@ -107,36 +107,36 @@ TEST(ModelSnapshotRebuild, DirtyOnlyMatchesFullRebuildBitwise) {
 }
 
 TEST(ModelSnapshotRebuild, IncrementalPublishMatchesFullPublish) {
-  // The store-attached reducer publishes dirty-only rebuilds; a twin with
-  // incremental_publish disabled must publish bitwise-identical snapshots.
+  // The store-attached reducer publishes dirty-only rebuilds; each must be
+  // bitwise identical to a from-scratch build of the same blocks and model.
   const ServeCase c = make_case(20, 20, 48, 223);
   ReductionOptions opts;
   opts.num_blocks = 8;
-  ModelStore store_incr, store_full;
+  ModelStore store;
   IncrementalReducer incr(c.net, c.ports, opts);
-  IncrementalReducer full(c.net, c.ports, opts);
-  ServingOptions sopts;
-  ServingOptions full_opts;
-  full_opts.incremental_publish = false;
-  incr.attach_store(&store_incr, sopts);
-  full.attach_store(&store_full, full_opts);
+  const ServingOptions sopts;
+  incr.attach_store(&store, sopts);
 
   const auto batch = mixed_batch(kept_originals(incr.model()), 200, 31);
   const ModStream stream =
       make_mod_stream(c.net, incr.structure(), 3, 0.2, 1.4, 500);
   for (std::size_t u = 0; u < stream.nets.size(); ++u) {
     incr.update(stream.nets[u], stream.mods[u].dirty_blocks);
-    full.update(stream.nets[u], stream.mods[u].dirty_blocks);
 
-    const SnapshotPtr si = store_incr.acquire();
-    const SnapshotPtr sf = store_full.acquire();
+    const SnapshotPtr si = store.acquire();
+    const auto sf = ModelSnapshot::build(incr.blocks(), incr.shared_model(),
+                                         sopts, nullptr, incr.revision());
     EXPECT_EQ(si->version(), sf->version());
     EXPECT_GT(si->reused_blocks(), 0);
     EXPECT_EQ(sf->reused_blocks(), 0);
-    const auto want = QueryFrontEnd::answer_on(*sf, batch);
-    const auto got = QueryFrontEnd::answer_on(*si, batch);
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(want[i], got[i]) << "update " << u << " query " << i;
+    // Both routes: the engine route reads the reused block engines.
+    for (RouteMode mode : {RouteMode::kExact, RouteMode::kLocalApprox}) {
+      const auto want = QueryFrontEnd::answer_on(*sf, batch, {nullptr, mode});
+      const auto got = QueryFrontEnd::answer_on(*si, batch, {nullptr, mode});
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(want[i], got[i])
+            << to_string(mode) << " update " << u << " query " << i;
+    }
   }
 }
 

@@ -15,10 +15,15 @@
 //   (e) backend preferences resolve as documented: kExact pins the exact
 //       path, kAuto diverts reduced tiers to cheap resident engines (never
 //       to dense-factor exact engines), and the admission queue dispatches
-//       deadline-urgent items first.
+//       deadline-urgent items first,
+//   (f) plan_query picks, before evaluation, the leg a dual-leg hedge
+//       would select, on every input; a hedged reduced-tier query runs no
+//       exact solve.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <optional>
 #include <vector>
 
@@ -401,6 +406,135 @@ TEST(QueryPolicy, AdmissionQueueDispatchesUrgentItemsFirst) {
 
   queue.close();
   EXPECT_FALSE(queue.pop().has_value());
+}
+
+// ---------------------------------------------------------------------------
+// (f) one leg per query.
+// ---------------------------------------------------------------------------
+
+/// The rule plan_query replaced, kept as its oracle: resolve the route from
+/// the preference, evaluate both legs for a hedged eligible query, and pick
+/// the winner with hedge_prefers_engine. True when the answer comes from
+/// the engine leg, given the engine's value.
+bool dual_leg_takes_engine(const QueryPolicy& pol, RouteMode batch_mode,
+                           bool eligible, bool engines_cheap,
+                           real_t engine_value) {
+  RouteMode route = batch_mode;
+  switch (pol.backend_pref) {
+    case BackendPref::kAuto:
+      if (pol.accuracy_tier != AccuracyTier::kExact && eligible &&
+          engines_cheap)
+        route = RouteMode::kLocalApprox;
+      break;
+    case BackendPref::kExact:
+      route = RouteMode::kExact;
+      break;
+    case BackendPref::kLocalApprox:
+      route = RouteMode::kLocalApprox;
+      break;
+  }
+  if (pol.hedge && eligible)
+    return hedge_prefers_engine(pol.accuracy_tier, engine_value);
+  return route == RouteMode::kLocalApprox && eligible;
+}
+
+TEST(QueryPolicy, PlanQueryMatchesDualLegRuleOnEveryInput) {
+  constexpr real_t kNaN = std::numeric_limits<real_t>::quiet_NaN();
+  std::size_t cases = 0;
+  for (AccuracyTier tier :
+       {AccuracyTier::kExact, AccuracyTier::kApprox, AccuracyTier::kFast})
+    for (BackendPref pref : {BackendPref::kAuto, BackendPref::kExact,
+                             BackendPref::kLocalApprox})
+      for (bool hedge : {false, true})
+        for (RouteMode mode : {RouteMode::kExact, RouteMode::kLocalApprox})
+          for (bool eligible : {false, true})
+            for (bool cheap : {false, true}) {
+              QueryPolicy pol;
+              pol.accuracy_tier = tier;
+              pol.backend_pref = pref;
+              pol.hedge = hedge;
+              SCOPED_TRACE(std::string(to_string(tier)) + " " +
+                           to_string(pref) + " hedge=" +
+                           std::to_string(hedge) + " " + to_string(mode) +
+                           " eligible=" + std::to_string(eligible) +
+                           " cheap=" + std::to_string(cheap));
+              const bool engine =
+                  plan_query(pol, mode, eligible, cheap) == QueryLeg::kEngine;
+              EXPECT_EQ(engine,
+                        dual_leg_takes_engine(pol, mode, eligible, cheap, 1.0));
+              // NaN fallback: the front-end re-answers a NaN engine value on
+              // the exact leg, as a dual-leg hedge would select it.
+              if (engine && hedge) {
+                EXPECT_FALSE(
+                    dual_leg_takes_engine(pol, mode, eligible, cheap, kNaN));
+              }
+              ++cases;
+            }
+  EXPECT_EQ(cases, 144u);
+}
+
+TEST(QueryPolicy, HedgedApproxTierRunsNoExactSolve) {
+  const ServeCase c = make_case(20, 20, 48, 439);
+  ReductionOptions opts;
+  opts.num_blocks = 6;
+  const ReductionArtifacts art =
+      reduce_network_artifacts(c.net, c.ports, opts);
+  obs::MetricsRegistry reg;
+  ModelStore store(&reg);
+  store.publish(ModelSnapshot::build(art));
+  const auto cache = std::make_shared<ResultCache>(ResultCacheOptions{}, &reg);
+  store.attach_cache(cache);
+  const QueryFrontEnd frontend(&store, &reg);
+  const SnapshotPtr snap = store.acquire();
+
+  // Distinct same-block resistance pairs in blocks with a resident engine:
+  // every query is engine-eligible.
+  std::vector<std::vector<index_t>> by_block(
+      static_cast<std::size_t>(snap->num_blocks()));
+  for (index_t v : kept_originals(*art.model)) {
+    const index_t r = snap->reduced_id(v);
+    if (snap->block_engine(snap->block_of_reduced(r)))
+      by_block[static_cast<std::size_t>(snap->block_of_reduced(r))]
+          .push_back(v);
+  }
+  std::vector<PortQuery> batch;
+  for (const auto& nodes : by_block)
+    for (std::size_t i = 0; i + 1 < nodes.size(); i += 2) {
+      PortQuery query{QueryKind::kResistance, nodes[i], nodes[i + 1], {}};
+      query.policy.accuracy_tier = AccuracyTier::kFast;
+      query.policy.hedge = true;
+      batch.push_back(query);
+    }
+  ASSERT_GT(batch.size(), 10u);
+
+  BatchStats stats;
+  const auto answers =
+      frontend.answer(batch, {nullptr, RouteMode::kExact, &stats});
+  EXPECT_EQ(stats.hedged, batch.size());
+  EXPECT_EQ(stats.hedge_won_engine, stats.hedged);
+  EXPECT_EQ(stats.engine_answered, stats.hedged);
+  // No exact-scope entry: the exact leg never ran.
+  const ResultCache::ScopeViewPtr scopes = cache->scopes_for(snap->version());
+  ASSERT_TRUE(scopes);
+  for (const PortQuery& query : batch) {
+    real_t value = 0.0;
+    EXPECT_FALSE(cache->lookup(scopes->exact_scope, ResultCache::Path::kExact,
+                               query.kind, query.policy.accuracy_tier,
+                               query.p, query.q, &value))
+        << query.p << "-" << query.q;
+  }
+
+  // Same answers as the un-hedged engine preference.
+  std::vector<PortQuery> engine_pref = batch;
+  for (PortQuery& query : engine_pref) {
+    query.policy.hedge = false;
+    query.policy.backend_pref = BackendPref::kLocalApprox;
+  }
+  const auto want = QueryFrontEnd::answer_on(*snap, engine_pref,
+                                             {nullptr, RouteMode::kExact,
+                                              nullptr, &reg});
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_EQ(answers[i], want[i]) << "query " << i;
 }
 
 }  // namespace

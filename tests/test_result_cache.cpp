@@ -195,7 +195,7 @@ std::vector<std::vector<PortQuery>> per_block_batches(
     for (std::size_t i = 0;
          i + 1 < nodes.size() && batches[b].size() < pairs_per_block; i += 2)
       batches[b].push_back(
-          {QueryKind::kResistance, nodes[i], nodes[i + 1]});
+          {QueryKind::kResistance, nodes[i], nodes[i + 1], {}});
   }
   return batches;
 }

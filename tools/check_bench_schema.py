@@ -62,7 +62,7 @@ MODE_FIELDS = {
         "identical",
     },
     # Per-query QueryPolicy scenario (--policy-mix, PR 10): tier mix,
-    # hedged racing, and deadline accounting, plus per-tier latency
+    # hedging, and deadline accounting, plus per-tier latency
     # percentiles from the er_policy_latency_seconds{tier=...} histograms.
     "policy-mix": COMMON_FIELDS | {
         "queries_per_second",
